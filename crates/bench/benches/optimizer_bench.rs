@@ -1,6 +1,7 @@
 //! Microbenchmarks of the cost-based optimizer: single-arm planning
 //! (PostgreSQL's job per query) and all-arm planning (Bao's per-query
-//! overhead), backing the §6.2 optimization-time discussion.
+//! overhead, arm by arm and from one prepared family), backing the §6.2
+//! optimization-time discussion.
 
 use bao_bench::timing::{bench_function, Group};
 use bao_common::rng_from_seed;
@@ -32,6 +33,14 @@ fn bench_planning() {
             }
         });
     }
+    // The same 49 arms from one prepared family, as `Bao` plans them.
+    let arms = HintSet::top_arms(49);
+    g.bench("49_prepared", || {
+        let family = opt.prepare(&four_way, &db, &cat).unwrap();
+        for &h in &arms {
+            family.plan(h).unwrap();
+        }
+    });
 }
 
 fn bench_estimators() {

@@ -8,8 +8,8 @@
 //! `results/bench_baselines.json`; later runs compare against the file
 //! and warn on >20% regression. `--gate` turns ratio regressions into a
 //! non-zero exit (the `scripts/check.sh --bench-smoke` stage), `--quick`
-//! shrinks sample counts for smoke use, and `--update-baseline`
-//! overwrites previously recorded values.
+//! shrinks the workload and training sample counts for smoke use, and
+//! `--update-baseline` overwrites previously recorded values.
 //!
 //! Speedups are gated because they are machine-independent (the batched
 //! path wins on instruction-level parallelism, not clock speed). The
@@ -68,7 +68,7 @@ fn main() {
     let update = args.has("update-baseline");
     let seed = args.seed();
     let scale = args.scale(if quick { 0.03 } else { 0.06 });
-    let samples = if quick { 6 } else { 20 };
+    let samples = if quick { 40 } else { 60 };
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // Exercise the pool path even on a single-core machine (where the
     // thread "speedup" honestly comes out below 1.0 — it's warn-only).
@@ -85,33 +85,38 @@ fn main() {
     let input_dim = arm_set[0].feat_dim;
     let net = TreeCnn::new(TcnnConfig::small(input_dim), seed);
 
-    // --- Arm scoring: per-tree loop vs one packed batch.
+    // --- Arm scoring: per-tree loop vs one packed batch, sampled in
+    // alternation and compared on trimmed minima (`Stats::fast_mean`).
     let group = Group::new("score", samples);
     let mut results: Vec<(usize, Stats, Stats)> = Vec::new();
     for &b in &[1usize, 8, 49] {
         let set = &arm_set[..b];
         let refs: Vec<&FeatTree> = set.iter().collect();
-        let per_tree = group.bench_stats(&format!("per_tree_b{b}"), || {
-            let mut acc = 0.0f32;
-            for t in set {
-                acc += net.predict(t);
-            }
-            std::hint::black_box(acc);
-        });
-        let batched = group.bench_stats(&format!("batched_b{b}"), || {
-            std::hint::black_box(net.predict_batch(&refs));
-        });
+        let (per_tree, batched) = group.bench_pair(
+            &format!("per_tree_b{b}"),
+            || {
+                let mut acc = 0.0f32;
+                for t in set {
+                    acc += net.predict(t);
+                }
+                std::hint::black_box(acc);
+            },
+            &format!("batched_b{b}"),
+            || {
+                std::hint::black_box(net.predict_batch(&refs));
+            },
+        );
         results.push((b, per_tree, batched));
     }
     println!();
     let speedup = |b: usize| -> f64 {
         let &(_, pt, bt) = results.iter().find(|&&(n, _, _)| n == b).expect("batch size");
-        pt.trimmed_mean / bt.trimmed_mean
+        pt.fast_mean / bt.fast_mean
     };
     for &(b, pt, bt) in &results {
         println!(
             "batch size {b:>2}: batched scoring {:.2}x the per-tree loop",
-            pt.trimmed_mean / bt.trimmed_mean
+            pt.fast_mean / bt.fast_mean
         );
     }
     let speedup49 = speedup(49);
@@ -175,7 +180,7 @@ fn main() {
         ("score_batched_speedup_b8", speedup(8)),
         ("train_batched_speedup_1t", train_speedup_batched),
         ("train_tree_epochs_per_sec_1t", tree_epochs / t_one.trimmed_mean),
-        ("score_batched_plans_per_sec_b49", 49.0 / batched49.trimmed_mean),
+        ("score_batched_plans_per_sec_b49", 49.0 / batched49.fast_mean),
     ];
     if enforce_threads {
         gated.push(("train_thread_speedup", train_speedup_threads));

@@ -36,6 +36,11 @@ pub struct Stats {
     pub mean: f64,
     /// Mean after rejecting high outliers (Tukey fence at Q3 + 1.5 IQR).
     pub trimmed_mean: f64,
+    /// Trimmed minimum: the mean of the fastest quarter of the samples
+    /// (at least one). Noise only adds time, so the fastest samples are
+    /// the cleanest; averaging several keeps one lucky sample from
+    /// setting a ratio.
+    pub fast_mean: f64,
     /// Samples rejected as outliers.
     pub rejected: usize,
     pub n_samples: usize,
@@ -57,11 +62,13 @@ impl Stats {
         let (q1, q3) = (q(0.25), q(0.75));
         let fence = q3 + 1.5 * (q3 - q1);
         let kept: Vec<f64> = s.iter().copied().filter(|&x| x <= fence).collect();
+        let fast = &s[..s.len().div_ceil(4)];
         Stats {
             min: s[0],
             median: s[s.len() / 2],
             mean: s.iter().sum::<f64>() / s.len() as f64,
             trimmed_mean: kept.iter().sum::<f64>() / kept.len() as f64,
+            fast_mean: fast.iter().sum::<f64>() / fast.len() as f64,
             rejected: s.len() - kept.len(),
             n_samples: s.len(),
         }
@@ -88,32 +95,38 @@ impl Group {
     /// Time `f`, printing per-iteration statistics and returning them so
     /// callers can derive ratios or record baselines.
     pub fn bench_stats<F: FnMut()>(&self, label: &str, mut f: F) -> Stats {
-        // Warmup + calibration: find a batch size whose wall time reaches
-        // the target, so Instant overhead is negligible even for
-        // microsecond-scale closures.
-        let mut batch: u64 = 1;
-        loop {
-            let start = Instant::now();
-            for _ in 0..batch {
-                f();
-            }
-            let t = start.elapsed();
-            if t >= TARGET_SAMPLE || batch >= 1 << 20 {
-                break;
-            }
-            let scale = (TARGET_SAMPLE.as_secs_f64() / t.as_secs_f64().max(1e-9)).ceil();
-            batch = (batch as f64 * scale.min(1024.0)) as u64;
-        }
+        let batch = calibrate(&mut f);
+        let per_iter: Vec<f64> = (0..self.samples).map(|_| sample(&mut f, batch)).collect();
+        self.report(label, &per_iter, batch)
+    }
 
-        let mut per_iter: Vec<f64> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
-            let start = Instant::now();
-            for _ in 0..batch {
-                f();
+    /// Time `a` and `b` in alternating samples, swapping which goes first
+    /// each round, so slow drift on a shared host (frequency changes,
+    /// noisy neighbours) lands on both sides of a ratio alike.
+    pub fn bench_pair<A: FnMut(), B: FnMut()>(
+        &self,
+        label_a: &str,
+        mut a: A,
+        label_b: &str,
+        mut b: B,
+    ) -> (Stats, Stats) {
+        let (batch_a, batch_b) = (calibrate(&mut a), calibrate(&mut b));
+        let mut xs = Vec::with_capacity(self.samples);
+        let mut ys = Vec::with_capacity(self.samples);
+        for round in 0..self.samples {
+            if round % 2 == 0 {
+                xs.push(sample(&mut a, batch_a));
+                ys.push(sample(&mut b, batch_b));
+            } else {
+                ys.push(sample(&mut b, batch_b));
+                xs.push(sample(&mut a, batch_a));
             }
-            per_iter.push(start.elapsed().as_secs_f64() / batch as f64);
         }
-        let stats = Stats::from_samples(&per_iter);
+        (self.report(label_a, &xs, batch_a), self.report(label_b, &ys, batch_b))
+    }
+
+    fn report(&self, label: &str, per_iter: &[f64], batch: u64) -> Stats {
+        let stats = Stats::from_samples(per_iter);
         println!(
             "{:<40} min {:>12} | median {:>12} | trimmed {:>12}  ({} samples x {} iters, {} outliers)",
             format!("{}/{label}", self.name),
@@ -126,6 +139,34 @@ impl Group {
         );
         stats
     }
+}
+
+/// Warmup + calibration: find a batch size whose wall time reaches the
+/// target, so `Instant` overhead is negligible even for microsecond-scale
+/// closures.
+fn calibrate<F: FnMut()>(f: &mut F) -> u64 {
+    let mut batch: u64 = 1;
+    loop {
+        let start = Instant::now();
+        for _ in 0..batch {
+            f();
+        }
+        let t = start.elapsed();
+        if t >= TARGET_SAMPLE || batch >= 1 << 20 {
+            return batch;
+        }
+        let scale = (TARGET_SAMPLE.as_secs_f64() / t.as_secs_f64().max(1e-9)).ceil();
+        batch = (batch as f64 * scale.min(1024.0)) as u64;
+    }
+}
+
+/// One timed sample: seconds per iteration over `batch` calls.
+fn sample<F: FnMut()>(f: &mut F, batch: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..batch {
+        f();
+    }
+    start.elapsed().as_secs_f64() / batch as f64
 }
 
 /// One standalone benchmark (its own group of one).
@@ -330,6 +371,21 @@ mod tests {
         let s = Stats::from_samples(&[2.0, 2.0, 2.0, 2.0]);
         assert_eq!(s.rejected, 0);
         assert_eq!(s.trimmed_mean, s.mean);
+    }
+
+    #[test]
+    fn fast_mean_averages_the_fastest_quarter() {
+        let s = Stats::from_samples(&[9.0, 1.0, 5.0, 3.0, 7.0, 2.0, 8.0, 4.0]);
+        assert_eq!(s.fast_mean, 1.5);
+        assert_eq!(Stats::from_samples(&[4.0]).fast_mean, 4.0);
+    }
+
+    #[test]
+    fn bench_pair_interleaves_both_closures() {
+        let (mut a, mut b) = (0u64, 0u64);
+        let (sa, sb) = Group::new("t", 3).bench_pair("a", || a += 1, "b", || b += 1);
+        assert!(a > 0 && b > 0);
+        assert_eq!((sa.n_samples, sb.n_samples), (3, 3));
     }
 
     #[test]

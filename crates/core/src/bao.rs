@@ -6,7 +6,7 @@ use crate::featurize::Featurizer;
 use bao_common::{split_seed, BaoError, Result};
 use bao_models::{bootstrap_sample, TcnnModel, ValueModel};
 use bao_nn::FeatTree;
-use bao_opt::{HintSet, Optimizer, PlanOutput};
+use bao_opt::{HintSet, Optimizer, PlanFamily, PlanOutput};
 use bao_plan::{PlanNode, Query};
 use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, Database};
@@ -493,13 +493,17 @@ impl Bao {
     }
 
     /// Plan all `queries.len() * arms.len()` jobs, returned flat in
-    /// (query-major, arm-minor) slot order. With `parallel_planning` the
-    /// jobs run on a pool of workers sized to the host (paper §6.2: "Bao
-    /// makes heavy use of parallelism, concurrently planning each arm");
-    /// each result is tagged with its slot and re-slotted before return,
-    /// so worker count and scheduling never affect output order — the
-    /// same determinism-by-construction pattern as `bao_nn::train`'s
-    /// sharded gradient reduction.
+    /// (query-major, arm-minor) slot order. Each query is first prepared
+    /// once, in query order ([`Optimizer::prepare`] does every
+    /// hint-independent part of planning); the arm jobs then share the
+    /// read-only [`PlanFamily`]s. With `parallel_planning` the jobs run on
+    /// a pool of workers sized to the host (paper §6.2: "Bao makes heavy
+    /// use of parallelism, concurrently planning each arm"); each result
+    /// is tagged with its slot and re-slotted before return, so worker
+    /// count and scheduling never affect output order — the same
+    /// determinism-by-construction pattern as `bao_nn::train`'s sharded
+    /// gradient reduction. Errors surface in slot order, as a serial
+    /// query-by-arm loop would report them.
     fn plan_jobs(
         &self,
         opt: &Optimizer,
@@ -508,15 +512,28 @@ impl Bao {
         cat: &StatsCatalog,
     ) -> Result<Vec<PlanOutput>> {
         let arms = &self.cfg.arms;
-        let n_jobs = queries.len() * arms.len();
-        if !self.cfg.parallel_planning || n_jobs <= 1 {
-            let mut outputs = Vec::with_capacity(n_jobs);
-            for &query in queries {
-                for &arm in arms {
-                    outputs.push(opt.plan(query, db, cat, arm)?);
+        // A query that cannot be prepared fails every arm; its error comes
+        // after every earlier query's arms, so later queries are skipped.
+        let mut families: Vec<PlanFamily<'_>> = Vec::with_capacity(queries.len());
+        let mut unprepared = None;
+        for &query in queries {
+            match opt.prepare(query, db, cat) {
+                Ok(f) => families.push(f),
+                Err(e) => {
+                    unprepared = Some(e);
+                    break;
                 }
             }
-            return Ok(outputs);
+        }
+        let n_jobs = families.len() * arms.len();
+        if !self.cfg.parallel_planning || n_jobs <= 1 {
+            let mut outputs = Vec::with_capacity(n_jobs);
+            for family in &families {
+                for &arm in arms {
+                    outputs.push(family.plan(arm)?);
+                }
+            }
+            return unprepared.map_or(Ok(outputs), Err);
         }
         let workers = match self.cfg.planning_threads {
             0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
@@ -533,6 +550,7 @@ impl Bao {
             let _ = job_tx.send(slot);
         }
         drop(job_tx);
+        let families = &families;
         scope(|scope| {
             for _ in 0..workers {
                 let job_rx = Arc::clone(&job_rx);
@@ -548,7 +566,7 @@ impl Bao {
                         },
                         Err(_) => break,
                     };
-                    let out = opt.plan(queries[slot / arms.len()], db, cat, arms[slot % arms.len()]);
+                    let out = families[slot / arms.len()].plan(arms[slot % arms.len()]);
                     if res_tx.send((slot, out)).is_err() {
                         break;
                     }
@@ -559,12 +577,13 @@ impl Bao {
                 slots[slot] = Some(out);
             }
         });
-        slots
+        let outputs = slots
             .into_iter()
             .map(|s| {
                 s.ok_or_else(|| BaoError::Planning("planner worker dropped a job".into()))?
             })
-            .collect()
+            .collect::<Result<Vec<_>>>()?;
+        unprepared.map_or(Ok(outputs), Err)
     }
 
     /// Record an observed (plan, performance) pair and retrain when the

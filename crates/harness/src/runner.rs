@@ -523,8 +523,9 @@ impl Runner {
                 Strategy::Optimal { arms } => {
                     let mut works = Vec::with_capacity(arms.len());
                     let mut plans = Vec::with_capacity(arms.len());
+                    let family = self.opt.prepare(q, &self.db, &self.cat)?;
                     for &h in arms {
-                        let out = self.opt.plan(q, &self.db, &self.cat, h)?;
+                        let out = family.plan(h)?;
                         works.push(out.work);
                         plans.push(out.root);
                     }

@@ -2,38 +2,18 @@
 
 use crate::cost::CostParams;
 use crate::hints::HintSet;
-use bao_common::{BaoError, Result};
-use bao_plan::{CmpOp, Operator, PlanNode, Query, ScanKind};
+use bao_common::Result;
+use bao_plan::{CmpOp, Operator, Query, ScanKind};
 use bao_stats::{resolve_predicate, Estimator, ResolvedPred, StatsCatalog};
 use bao_storage::Database;
-use std::cell::Cell;
 
-/// Shared, read-only planning context for one optimizer invocation.
+/// Read-only inputs of one query's hint-independent planning pass.
 pub struct PlannerCtx<'a> {
     pub query: &'a Query,
     pub db: &'a Database,
     pub cat: &'a StatsCatalog,
     pub est: &'a dyn Estimator,
     pub params: &'a CostParams,
-    pub hints: HintSet,
-    /// Abstract planning-effort counter (candidates priced); the cloud
-    /// model converts this into simulated optimization time.
-    pub work: Cell<u64>,
-}
-
-impl PlannerCtx<'_> {
-    pub fn bump_work(&self, n: u64) {
-        self.work.set(self.work.get() + n);
-    }
-
-    /// Disable-cost penalty for a join/scan choice.
-    pub fn scan_penalty(&self, kind: ScanKind) -> f64 {
-        if self.hints.scan_enabled(kind) {
-            0.0
-        } else {
-            self.params.disable_cost
-        }
-    }
 }
 
 /// Pre-resolved information about one FROM-list entry.
@@ -74,21 +54,23 @@ pub fn base_relations(ctx: &PlannerCtx<'_>) -> Result<Vec<BaseRel>> {
     Ok(rels)
 }
 
-/// A partially built plan with planner-internal bookkeeping.
+/// One access path of a base relation, priced without hint penalties.
 #[derive(Debug, Clone)]
-pub struct Candidate {
-    pub node: PlanNode,
+pub struct ScanOption {
+    pub op: Operator,
+    pub kind: ScanKind,
+    /// Cost before any `disable_cost` penalty.
     pub cost: f64,
-    /// Cost of producing this subtree's rows again on a nested-loop
-    /// rescan (pages assumed warm, CPU re-paid).
+    /// Cost of producing the rows again on a nested-loop rescan (pages
+    /// assumed warm, CPU re-paid).
     pub rescan_cost: f64,
-    pub rows: f64,
 }
 
-impl Candidate {
-    pub fn new(op: Operator, children: Vec<PlanNode>, rows: f64, cost: f64, rescan: f64) -> Self {
-        let node = PlanNode::new(op, children).with_estimates(rows.max(1.0), cost);
-        Candidate { node, cost, rescan_cost: rescan, rows: rows.max(1.0) }
+impl ScanOption {
+    /// This path's cost under `hints`: PostgreSQL's `disable_cost` is
+    /// added when the hint set disables its scan kind.
+    pub fn cost_under(&self, hints: HintSet, params: &CostParams) -> f64 {
+        self.cost + params.penalty(hints.scan_enabled(self.kind))
     }
 }
 
@@ -134,10 +116,10 @@ fn key_range(preds: &[&ResolvedPred]) -> (Option<i64>, Option<i64>, bool) {
     (lo, hi, usable)
 }
 
-/// Enumerate scan candidates for one base relation: a sequential scan
+/// Enumerate the access paths of one base relation: a sequential scan
 /// (always), an index (or index-only) scan per usable index, and a full
 /// index scan per index (relevant when sequential scans are hinted off).
-pub fn scan_candidates(ctx: &PlannerCtx<'_>, rel: &BaseRel) -> Result<Vec<Candidate>> {
+pub fn scan_options(ctx: &PlannerCtx<'_>, rel: &BaseRel) -> Result<Vec<ScanOption>> {
     let stored = ctx.db.by_name(&rel.name)?;
     let table = &stored.table;
     let preds_logical = ctx.query.predicates_on(rel.idx);
@@ -145,22 +127,18 @@ pub fn scan_candidates(ctx: &PlannerCtx<'_>, rel: &BaseRel) -> Result<Vec<Candid
 
     // --- Sequential scan: always available.
     let pages = table.n_pages() as f64;
-    let seq_cost = ctx.params.seq_scan(pages, rel.rows, rel.resolved.len())
-        + ctx.scan_penalty(ScanKind::Seq);
     let seq_rescan = rel.rows
         * (ctx.params.cpu_tuple_cost
             + rel.resolved.len() as f64 * ctx.params.cpu_operator_cost);
-    out.push(Candidate::new(
-        Operator::SeqScan {
+    out.push(ScanOption {
+        op: Operator::SeqScan {
             table: rel.idx,
             preds: preds_logical.iter().map(|p| (*p).clone()).collect(),
         },
-        vec![],
-        rel.out_rows,
-        seq_cost,
-        seq_rescan,
-    ));
-    ctx.bump_work(1);
+        kind: ScanKind::Seq,
+        cost: ctx.params.seq_scan(pages, rel.rows, rel.resolved.len()),
+        rescan_cost: seq_rescan,
+    });
 
     // --- Index scans.
     let needed = ctx.query.columns_needed(rel.idx);
@@ -197,77 +175,53 @@ pub fn scan_candidates(ctx: &PlannerCtx<'_>, rel: &BaseRel) -> Result<Vec<Candid
         let leaf_pages = stored_idx.index.n_pages() as f64;
         let entries = stored_idx.index.len() as f64;
 
-        // Plain index scan (heap fetches + residual filter).
-        let cost = ctx.params.index_scan(
-            height,
-            leaf_pages,
-            entries,
-            idx_sel,
-            matching,
-            residual_resolved.len(),
-        ) + ctx.scan_penalty(ScanKind::Index);
-        // Rescans of a range index scan mostly hit cache.
+        // Plain index scan (heap fetches + residual filter). Rescans of a
+        // range index scan mostly hit cache.
         let rescan = matching
             * (ctx.params.cpu_index_tuple_cost
                 + ctx.params.cpu_tuple_cost
                 + residual_resolved.len() as f64 * ctx.params.cpu_operator_cost);
-        out.push(Candidate::new(
-            Operator::IndexScan {
+        out.push(ScanOption {
+            op: Operator::IndexScan {
                 table: rel.idx,
                 column: col.clone(),
                 lo,
                 hi,
-                residual: residual_logical.clone(),
+                residual: residual_logical,
                 param: None,
             },
-            vec![],
-            rel.out_rows,
-            cost,
-            rescan,
-        ));
-        ctx.bump_work(1);
+            kind: ScanKind::Index,
+            cost: ctx.params.index_scan(
+                height,
+                leaf_pages,
+                entries,
+                idx_sel,
+                matching,
+                residual_resolved.len(),
+            ),
+            rescan_cost: rescan,
+        });
 
         // Index-only scan: legal when the query touches nothing but the
         // indexed column on this relation and no residual predicate
         // remains.
         let covering = needed.iter().all(|c| c == col);
         if covering && residual_resolved.is_empty() {
-            let cost = ctx
-                .params
-                .index_only_scan(height, leaf_pages, entries, idx_sel)
-                + ctx.scan_penalty(ScanKind::IndexOnly);
-            let rescan = (entries * idx_sel).max(1.0) * ctx.params.cpu_index_tuple_cost;
-            out.push(Candidate::new(
-                Operator::IndexOnlyScan {
+            out.push(ScanOption {
+                op: Operator::IndexOnlyScan {
                     table: rel.idx,
                     column: col.clone(),
                     lo,
                     hi,
                     param: None,
                 },
-                vec![],
-                rel.out_rows,
-                cost,
-                rescan,
-            ));
-            ctx.bump_work(1);
+                kind: ScanKind::IndexOnly,
+                cost: ctx.params.index_only_scan(height, leaf_pages, entries, idx_sel),
+                rescan_cost: (entries * idx_sel).max(1.0) * ctx.params.cpu_index_tuple_cost,
+            });
         }
     }
-
-    if out.is_empty() {
-        return Err(BaoError::Planning(format!("no access path for {}", rel.name)));
-    }
     Ok(out)
-}
-
-/// The cheapest candidate in a list; errors on an empty list. `total_cmp`
-/// keeps the comparison total even if a cost model ever emits NaN (such a
-/// candidate sorts last instead of panicking mid-planning).
-pub fn cheapest(cands: Vec<Candidate>) -> Result<Candidate> {
-    cands
-        .into_iter()
-        .min_by(|a, b| a.cost.total_cmp(&b.cost))
-        .ok_or_else(|| BaoError::Planning("empty candidate list".into()))
 }
 
 #[cfg(test)]
@@ -306,9 +260,16 @@ mod tests {
         cat: &'a StatsCatalog,
         est: &'a dyn Estimator,
         params: &'a CostParams,
-        hints: HintSet,
     ) -> PlannerCtx<'a> {
-        PlannerCtx { query: q, db, cat, est, params, hints, work: Cell::new(0) }
+        PlannerCtx { query: q, db, cat, est, params }
+    }
+
+    /// The access path the planner picks for relation 0 under `hints`.
+    fn best(c: &PlannerCtx<'_>, hints: HintSet) -> ScanOption {
+        let rels = base_relations(c).unwrap();
+        let opts = scan_options(c, &rels[0]).unwrap();
+        let k = crate::join::cheapest_scan(&opts, hints, c.params);
+        opts[k].clone()
     }
 
     #[test]
@@ -317,11 +278,9 @@ mod tests {
         let q = query("SELECT v FROM t WHERE id = 5");
         let params = CostParams::default();
         let est = PostgresEstimator;
-        let c = ctx(&q, &db, &cat, &est, &params, HintSet::all_enabled());
-        let rels = base_relations(&c).unwrap();
-        let best = cheapest(scan_candidates(&c, &rels[0]).unwrap()).unwrap();
-        assert!(matches!(best.node.op, Operator::IndexScan { .. }), "{:?}", best.node.op);
-        assert!(c.work.get() >= 2);
+        let c = ctx(&q, &db, &cat, &est, &params);
+        let best = best(&c, HintSet::all_enabled());
+        assert!(matches!(best.op, Operator::IndexScan { .. }), "{:?}", best.op);
     }
 
     #[test]
@@ -330,10 +289,8 @@ mod tests {
         let q = query("SELECT v FROM t WHERE id >= 0");
         let params = CostParams::default();
         let est = PostgresEstimator;
-        let c = ctx(&q, &db, &cat, &est, &params, HintSet::all_enabled());
-        let rels = base_relations(&c).unwrap();
-        let best = cheapest(scan_candidates(&c, &rels[0]).unwrap()).unwrap();
-        assert!(matches!(best.node.op, Operator::SeqScan { .. }));
+        let c = ctx(&q, &db, &cat, &est, &params);
+        assert!(matches!(best(&c, HintSet::all_enabled()).op, Operator::SeqScan { .. }));
     }
 
     #[test]
@@ -344,10 +301,8 @@ mod tests {
         let est = PostgresEstimator;
         // disable index & index-only scans: seq must win despite selectivity
         let hints = HintSet::from_masks(0b111, 0b001);
-        let c = ctx(&q, &db, &cat, &est, &params, hints);
-        let rels = base_relations(&c).unwrap();
-        let best = cheapest(scan_candidates(&c, &rels[0]).unwrap()).unwrap();
-        assert!(matches!(best.node.op, Operator::SeqScan { .. }));
+        let c = ctx(&q, &db, &cat, &est, &params);
+        assert!(matches!(best(&c, hints).op, Operator::SeqScan { .. }));
     }
 
     #[test]
@@ -356,12 +311,11 @@ mod tests {
         let q = query("SELECT COUNT(id) FROM t WHERE id < 100");
         let params = CostParams::default();
         let est = PostgresEstimator;
-        let c = ctx(&q, &db, &cat, &est, &params, HintSet::all_enabled());
+        let c = ctx(&q, &db, &cat, &est, &params);
         let rels = base_relations(&c).unwrap();
-        let cands = scan_candidates(&c, &rels[0]).unwrap();
-        assert!(cands.iter().any(|x| matches!(x.node.op, Operator::IndexOnlyScan { .. })));
-        let best = cheapest(cands).unwrap();
-        assert!(matches!(best.node.op, Operator::IndexOnlyScan { .. }));
+        let opts = scan_options(&c, &rels[0]).unwrap();
+        assert!(opts.iter().any(|x| matches!(x.op, Operator::IndexOnlyScan { .. })));
+        assert!(matches!(best(&c, HintSet::all_enabled()).op, Operator::IndexOnlyScan { .. }));
     }
 
     #[test]
@@ -370,10 +324,10 @@ mod tests {
         let q = query("SELECT v FROM t WHERE id < 100");
         let params = CostParams::default();
         let est = PostgresEstimator;
-        let c = ctx(&q, &db, &cat, &est, &params, HintSet::all_enabled());
+        let c = ctx(&q, &db, &cat, &est, &params);
         let rels = base_relations(&c).unwrap();
-        let cands = scan_candidates(&c, &rels[0]).unwrap();
-        assert!(!cands.iter().any(|x| matches!(x.node.op, Operator::IndexOnlyScan { .. })));
+        let opts = scan_options(&c, &rels[0]).unwrap();
+        assert!(!opts.iter().any(|x| matches!(x.op, Operator::IndexOnlyScan { .. })));
     }
 
     #[test]
@@ -382,14 +336,11 @@ mod tests {
         let q = query("SELECT v FROM t WHERE id < 100 AND v = 3");
         let params = CostParams::default();
         let est = PostgresEstimator;
-        let c = ctx(&q, &db, &cat, &est, &params, HintSet::all_enabled());
+        let c = ctx(&q, &db, &cat, &est, &params);
         let rels = base_relations(&c).unwrap();
-        let cands = scan_candidates(&c, &rels[0]).unwrap();
-        let idx = cands
-            .iter()
-            .find(|x| matches!(x.node.op, Operator::IndexScan { .. }))
-            .unwrap();
-        if let Operator::IndexScan { residual, lo, hi, .. } = &idx.node.op {
+        let opts = scan_options(&c, &rels[0]).unwrap();
+        let idx = opts.iter().find(|x| matches!(x.op, Operator::IndexScan { .. })).unwrap();
+        if let Operator::IndexScan { residual, lo, hi, .. } = &idx.op {
             assert_eq!(residual.len(), 1);
             assert_eq!(residual[0].col.column, "v");
             assert_eq!(*lo, None);
@@ -426,11 +377,10 @@ mod tests {
         let params = CostParams::default();
         let est = PostgresEstimator;
         let hints = HintSet::from_masks(0b111, 0b110); // seq disabled
-        let c = ctx(&q, &db, &cat, &est, &params, hints);
-        let rels = base_relations(&c).unwrap();
-        let best = cheapest(scan_candidates(&c, &rels[0]).unwrap()).unwrap();
+        let c = ctx(&q, &db, &cat, &est, &params);
+        let best = best(&c, hints);
         // only seq exists; it is chosen despite the penalty
-        assert!(matches!(best.node.op, Operator::SeqScan { .. }));
-        assert!(best.cost >= params.disable_cost);
+        assert!(matches!(best.op, Operator::SeqScan { .. }));
+        assert!(best.cost_under(hints, &params) >= params.disable_cost);
     }
 }

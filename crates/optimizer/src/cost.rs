@@ -50,6 +50,16 @@ impl ToJson for CostParams {
 }
 
 impl CostParams {
+    /// Penalty for an operator choice: zero when the hint set enables the
+    /// operator, `disable_cost` otherwise.
+    pub fn penalty(&self, enabled: bool) -> f64 {
+        if enabled {
+            0.0
+        } else {
+            self.disable_cost
+        }
+    }
+
     /// Cost of a full sequential heap scan.
     pub fn seq_scan(&self, pages: f64, rows: f64, n_preds: usize) -> f64 {
         pages * self.seq_page_cost

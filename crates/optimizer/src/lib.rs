@@ -22,4 +22,4 @@ pub mod optimizer;
 pub use annotate::annotate_estimates;
 pub use cost::CostParams;
 pub use hints::{HintSet, ALL_JOINS, ALL_SCANS};
-pub use optimizer::{Optimizer, OptimizerProfile, PlanOutput};
+pub use optimizer::{Optimizer, OptimizerProfile, PlanFamily, PlanOutput};

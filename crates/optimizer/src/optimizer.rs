@@ -1,15 +1,14 @@
-//! The top-level optimizer: profiles, plan assembly, planning-effort
-//! accounting.
+//! The top-level optimizer: profiles, the per-query prepare step and
+//! per-arm plan assembly, planning-effort accounting.
 
 use crate::access::{base_relations, PlannerCtx};
 use crate::cost::CostParams;
 use crate::hints::HintSet;
-use crate::join::plan_joins;
+use crate::join::JoinSpace;
 use bao_common::Result;
 use bao_plan::{Operator, PlanNode, Query, SelectItem};
 use bao_stats::{Estimator, PostgresEstimator, SampleEstimator, StatsCatalog};
 use bao_storage::Database;
-use std::cell::Cell;
 
 /// Which traditional optimizer this instance emulates (paper §6.1's two
 /// baselines).
@@ -78,20 +77,29 @@ impl Optimizer {
         cat: &StatsCatalog,
         hints: HintSet,
     ) -> Result<PlanOutput> {
+        self.prepare(query, db, cat)?.plan(hints)
+    }
+
+    /// Do every part of planning `query` that does not depend on the hint
+    /// set, once; [`PlanFamily::plan`] then plans each arm. A query that
+    /// cannot be planned under any hint set fails here.
+    pub fn prepare<'a>(
+        &self,
+        query: &'a Query,
+        db: &'a Database,
+        cat: &StatsCatalog,
+    ) -> Result<PlanFamily<'a>> {
         let ctx = PlannerCtx {
             query,
             db,
             cat,
             est: self.estimator.as_ref(),
             params: &self.params,
-            hints,
-            work: Cell::new(0),
         };
         let rels = base_relations(&ctx)?;
-        let joined = plan_joins(&ctx, &rels)?;
-        let mut root = joined.node;
-        let mut rows = joined.rows;
-        let mut cost = joined.cost;
+        let joins = JoinSpace::prepare(&ctx, &rels)?;
+        let mut rows = joins.rows();
+        let mut top = Vec::new();
 
         // Aggregation above the join tree.
         let aggs: Vec<bao_plan::AggFunc> = query
@@ -117,20 +125,52 @@ impl Optimizer {
                     .product();
                 nd.min(rows).max(1.0)
             };
-            cost += self.params.aggregate(rows, groups);
-            root = PlanNode::new(
+            top.push((
                 Operator::Aggregate { group_by: query.group_by.clone(), aggs },
-                vec![root],
-            )
-            .with_estimates(groups, cost);
+                groups,
+                self.params.aggregate(rows, groups),
+            ));
             rows = groups;
         }
 
         // Final ordering.
         if !query.order_by.is_empty() {
-            cost += self.params.sort(rows);
-            root = PlanNode::new(Operator::Sort { keys: query.order_by.clone() }, vec![root])
-                .with_estimates(rows, cost);
+            let sort = Operator::Sort { keys: query.order_by.clone() };
+            top.push((sort, rows, self.params.sort(rows)));
+        }
+        Ok(PlanFamily { query, db, joins, top })
+    }
+}
+
+/// One query's hint-independent planning state, from
+/// [`Optimizer::prepare`]. It is read-only, so the arms of one query can
+/// be planned concurrently from a shared reference.
+#[derive(Debug)]
+pub struct PlanFamily<'a> {
+    query: &'a Query,
+    /// Read by the debug-build plan verifier only.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    db: &'a Database,
+    joins: JoinSpace,
+    /// Operators above the join tree, bottom up, each with its estimated
+    /// rows and the cost it adds.
+    top: Vec<(Operator, f64, f64)>,
+}
+
+// `Bao::plan_jobs` shares one family across its planner workers.
+const _: () = {
+    const fn assert_sync<T: Sync>() {}
+    assert_sync::<PlanFamily<'static>>()
+};
+
+impl PlanFamily<'_> {
+    /// Plan the query under `hints`; the result is identical to
+    /// [`Optimizer::plan`] with the same hints.
+    pub fn plan(&self, hints: HintSet) -> Result<PlanOutput> {
+        let (mut root, mut cost) = self.joins.plan(self.query, hints)?;
+        for (op, rows, added) in &self.top {
+            cost += added;
+            root = PlanNode::new(op.clone(), vec![root]).with_estimates(*rows, cost);
         }
 
         // Debug builds (and therefore every test run) verify each arm's
@@ -140,12 +180,12 @@ impl Optimizer {
         #[cfg(debug_assertions)]
         bao_plan::verify::verify_with_hints(
             &root,
-            query,
-            db,
-            &ctx.hints.check(self.params.disable_cost),
+            self.query,
+            self.db,
+            &hints.check(self.joins.params.disable_cost),
         )?;
 
-        Ok(PlanOutput { root, work: ctx.work.get() })
+        Ok(PlanOutput { root, work: self.joins.work() })
     }
 }
 
@@ -367,6 +407,40 @@ mod tests {
         let q = parse_query(&format!("SELECT COUNT(*) FROM {from} WHERE {conds}")).unwrap();
         let out = Optimizer::postgres().plan(&q, &db, &cat, HintSet::all_enabled()).unwrap();
         assert_eq!(out.root.tables_covered().len(), 10);
+    }
+
+    /// Plans priced with a NaN `disable_cost` make every disabled
+    /// operator's candidate NaN; under the planner's one winner rule such a
+    /// candidate never wins, on the DP path or the greedy one, whatever
+    /// the NaN's sign.
+    #[test]
+    fn nan_cost_candidate_never_wins() {
+        let (db, cat) = setup();
+        let chain = |n: usize| {
+            let from = (0..n).map(|i| format!("title t{i}")).collect::<Vec<_>>().join(", ");
+            let conds = (1..n)
+                .map(|i| format!("t{}.id = t{}.id", i - 1, i))
+                .collect::<Vec<_>>()
+                .join(" AND ");
+            parse_query(&format!("SELECT COUNT(*) FROM {from} WHERE {conds}")).unwrap()
+        };
+        let no_hash = HintSet::from_masks(0b110, 0b111);
+        let no_seq = HintSet::from_masks(0b111, 0b110);
+        for nan in [f64::NAN, -f64::NAN] {
+            let mut opt = Optimizer::postgres();
+            opt.params.disable_cost = nan;
+            for q in [chain(3), chain(crate::join::DP_THRESHOLD + 2)] {
+                let out = opt.plan(&q, &db, &cat, no_hash).unwrap();
+                assert!(!out.root.join_algos().contains(&JoinAlgo::Hash), "{}", out.root);
+                assert!(!out.root.est_cost.is_nan());
+                let out = opt.plan(&q, &db, &cat, no_seq).unwrap();
+                assert!(
+                    out.root.access_paths().iter().all(|(_, k)| *k != bao_plan::ScanKind::Seq),
+                    "{}",
+                    out.root
+                );
+            }
+        }
     }
 
     #[test]
