@@ -112,6 +112,7 @@ impl CacheStats {
     }
 }
 
+// Hand-written: also emits the computed `hit_rate`.
 impl ToJson for CacheStats {
     fn to_json(&self) -> Json {
         Json::obj([

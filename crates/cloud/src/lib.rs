@@ -12,8 +12,7 @@
 //! setup, where the largest class comfortably caches the hot set and the
 //! smallest thrashes.
 
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::{Result, SimDuration};
+use bao_common::{json_record, SimDuration};
 use bao_exec::ChargeRates;
 
 /// A Google-Cloud-like VM class.
@@ -100,28 +99,8 @@ pub struct CostReport {
     pub gpu_usd: f64,
 }
 
-impl ToJson for VmType {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("vcpus", self.vcpus.to_json()),
-            ("ram_gb", self.ram_gb.to_json()),
-            ("usd_per_hour", self.usd_per_hour.to_json()),
-        ])
-    }
-}
-
-impl ToJson for CostReport {
-    fn to_json(&self) -> Json {
-        Json::obj([("vm_usd", self.vm_usd.to_json()), ("gpu_usd", self.gpu_usd.to_json())])
-    }
-}
-
-impl FromJson for CostReport {
-    fn from_json(j: &Json) -> Result<CostReport> {
-        Ok(CostReport { vm_usd: json::field(j, "vm_usd")?, gpu_usd: json::field(j, "gpu_usd")? })
-    }
-}
+json_record!(ToJson for VmType { name, vcpus, ram_gb, usd_per_hour });
+json_record!(CostReport { vm_usd, gpu_usd });
 
 impl CostReport {
     /// VM time covers execution + optimization; GPU time covers training
@@ -141,6 +120,7 @@ impl CostReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bao_common::json::{FromJson, Json, ToJson};
 
     #[test]
     fn lookup_and_pricing_monotone() {

@@ -2,9 +2,11 @@
 //! replacement for `serde`/`serde_json` (see DESIGN.md, "Hermetic build").
 //!
 //! Types that persist state (models, workloads, reports) implement
-//! [`ToJson`] explicitly, and [`FromJson`] when they also restore. Explicit
-//! impls trade derive convenience for zero dependencies and a schema that
-//! is visible at the definition site.
+//! [`ToJson`], and [`FromJson`] when they also restore. Plain records and
+//! externally tagged enums get both from one field list via
+//! [`json_record!`](crate::json_record) and [`json_enum!`](crate::json_enum)
+//! — derive convenience with zero dependencies and the schema visible at
+//! the definition site; other shapes implement the traits by hand.
 //!
 //! Numbers are kept in three lanes (`I`/`U`/`F`) exactly like serde_json's
 //! `Number`, so `u64` seeds above 2^53 and negative integers both round-trip
@@ -619,6 +621,125 @@ impl<T: FromJson + Default + Copy, const N: usize> FromJson for [T; N] {
 /// Decode one struct field.
 pub fn field<T: FromJson>(j: &Json, key: &str) -> Result<T> {
     T::from_json(j.field(key)?)
+}
+
+/// Implement [`ToJson`] and [`FromJson`] for a named-field struct as an
+/// object of the listed fields, keyed by field name, in the listed order.
+/// Each field decodes through [`field`], so a missing key names itself.
+/// `json_record!(ToJson for T { .. })` emits only the encoder.
+///
+/// ```
+/// use bao_common::json::{self, FromJson, ToJson};
+/// struct Pt { x: i64, y: i64 }
+/// bao_common::json_record!(Pt { x, y });
+/// assert_eq!(Pt { x: 1, y: -2 }.to_json().to_string(), r#"{"x":1,"y":-2}"#);
+/// assert_eq!(Pt::from_json(&json::parse(r#"{"x":3,"y":4}"#).unwrap()).unwrap().y, 4);
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    (ToJson for $t:ident { $($f:ident),+ $(,)? }) => {
+        impl $crate::json::ToJson for $t {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::obj([
+                    $((stringify!($f), $crate::json::ToJson::to_json(&self.$f))),+
+                ])
+            }
+        }
+    };
+    ($t:ident { $($f:ident),+ $(,)? }) => {
+        $crate::json_record!(ToJson for $t { $($f),+ });
+        impl $crate::json::FromJson for $t {
+            fn from_json(j: &$crate::json::Json) -> $crate::Result<$t> {
+                Ok($t { $($f: $crate::json::field(j, stringify!($f))?),+ })
+            }
+        }
+    };
+}
+
+/// Implement [`ToJson`] and [`FromJson`] for an enum, externally tagged:
+/// a unit variant is `"Unit"`, a newtype variant `{"Newtype": value}` and
+/// a struct variant `{"Struct": {"a": .., "b": ..}}` (fields in the listed
+/// order). Any other shape or tag decodes to [`BaoError::Parse`].
+///
+/// ```
+/// use bao_common::json::{self, FromJson, ToJson};
+/// #[derive(Debug, PartialEq)]
+/// enum Shape { Empty, Circle(f64), Rect { w: u32, h: u32 } }
+/// bao_common::json_enum!(Shape { Empty, Circle(f64), Rect { w, h } });
+/// assert_eq!(Shape::Empty.to_json().to_string(), r#""Empty""#);
+/// assert_eq!(Shape::Circle(0.5).to_json().to_string(), r#"{"Circle":0.5}"#);
+/// let rect = json::parse(r#"{"Rect":{"w":2,"h":3}}"#).unwrap();
+/// assert_eq!(Shape::from_json(&rect).unwrap(), Shape::Rect { w: 2, h: 3 });
+/// ```
+#[macro_export]
+macro_rules! json_enum {
+    ($t:ident { $($body:tt)* }) => {
+        $crate::json_enum!(@munch $t value [] [] [] $($body)*);
+    };
+    // Unit variant.
+    (@munch $t:ident $v:ident [$($enc:tt)*] [$($unit:tt)*] [$($tagged:tt)*]
+        $var:ident $(, $($rest:tt)*)?) => {
+        $crate::json_enum!(@munch $t $v
+            [$($enc)* $t::$var => $crate::json::Json::Str(stringify!($var).to_string()),]
+            [$($unit)* stringify!($var) => Ok($t::$var),]
+            [$($tagged)*]
+            $($($rest)*)?);
+    };
+    // Newtype variant.
+    (@munch $t:ident $v:ident [$($enc:tt)*] [$($unit:tt)*] [$($tagged:tt)*]
+        $var:ident ($inner:ty) $(, $($rest:tt)*)?) => {
+        $crate::json_enum!(@munch $t $v
+            [$($enc)* $t::$var($v) => $crate::json::Json::obj([
+                (stringify!($var), $crate::json::ToJson::to_json($v)),
+            ]),]
+            [$($unit)*]
+            [$($tagged)* stringify!($var) =>
+                Ok($t::$var(<$inner as $crate::json::FromJson>::from_json($v)?)),]
+            $($($rest)*)?);
+    };
+    // Struct variant.
+    (@munch $t:ident $v:ident [$($enc:tt)*] [$($unit:tt)*] [$($tagged:tt)*]
+        $var:ident { $($f:ident),+ $(,)? } $(, $($rest:tt)*)?) => {
+        $crate::json_enum!(@munch $t $v
+            [$($enc)* $t::$var { $($f),+ } => $crate::json::Json::obj([(
+                stringify!($var),
+                $crate::json::Json::obj([$((stringify!($f), $crate::json::ToJson::to_json($f))),+]),
+            )]),]
+            [$($unit)*]
+            [$($tagged)* stringify!($var) =>
+                Ok($t::$var { $($f: $crate::json::field($v, stringify!($f))?),+ }),]
+            $($($rest)*)?);
+    };
+    (@munch $t:ident $v:ident [$($enc:tt)*] [$($unit:tt)*] [$($tagged:tt)*]) => {
+        impl $crate::json::ToJson for $t {
+            fn to_json(&self) -> $crate::json::Json {
+                match self { $($enc)* }
+            }
+        }
+        impl $crate::json::FromJson for $t {
+            fn from_json(j: &$crate::json::Json) -> $crate::Result<$t> {
+                let unknown = || {
+                    $crate::BaoError::Parse(format!("unknown {} {j:?}", stringify!($t)))
+                };
+                match j {
+                    $crate::json::Json::Str(tag) => match tag.as_str() {
+                        $($unit)*
+                        _ => Err(unknown()),
+                    },
+                    $crate::json::Json::Obj(fields) if fields.len() == 1 => {
+                        // A unit-only enum reads no payload.
+                        #[allow(unused_variables)]
+                        let (tag, $v) = &fields[0];
+                        match tag.as_str() {
+                            $($tagged)*
+                            _ => Err(unknown()),
+                        }
+                    }
+                    _ => Err(unknown()),
+                }
+            }
+        }
+    };
 }
 
 #[cfg(test)]

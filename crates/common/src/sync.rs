@@ -17,6 +17,7 @@
 //! spawned through [`scope`]), and critical sections of *unhooked* locks
 //! must not contain schedule points.
 
+use crate::{BaoError, Result};
 use std::fmt;
 #[cfg(bao_race)]
 use std::panic::Location;
@@ -514,4 +515,79 @@ impl<T> ScopedJoinHandle<'_, T> {
         }
         self.inner.join()
     }
+}
+
+// ---------------------------------------------------------------------------
+// Job pool
+// ---------------------------------------------------------------------------
+
+/// A configured pool width, resolved: `0` means one worker per available
+/// core, any other value is taken as given.
+pub fn resolve_width(requested: usize) -> usize {
+    match requested {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        n => n,
+    }
+}
+
+/// Run `n_jobs` pure jobs on `workers` work-stealing workers and return
+/// the results in slot order. Every result is tagged with its slot and
+/// re-slotted before return, so worker count and scheduling never affect
+/// output order, and the first error *in slot order* is the one reported.
+/// Jobs must not touch shared mutable state: everything order-sensitive
+/// belongs on the caller. This one pool serves the planner's arm fan-out
+/// and the executor's morsels.
+///
+/// With one worker (or at most one job) the jobs run inline — the serial
+/// path is the parallel path with the pool optimized out, not a separate
+/// code path that could drift.
+pub fn run_jobs<T, F>(workers: usize, n_jobs: usize, f: F) -> Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T> + Sync,
+{
+    if workers <= 1 || n_jobs <= 1 {
+        return (0..n_jobs).map(f).collect();
+    }
+    let workers = workers.min(n_jobs);
+    let mut slots: Vec<Option<Result<T>>> = Vec::with_capacity(n_jobs);
+    slots.resize_with(n_jobs, || None);
+    let (job_tx, job_rx) = mpsc::channel::<usize>();
+    let job_rx = Arc::new(Mutex::new(job_rx));
+    let (res_tx, res_rx) = mpsc::channel::<(usize, Result<T>)>();
+    for slot in 0..n_jobs {
+        // Receiver outlives this loop; send cannot fail here.
+        let _ = job_tx.send(slot);
+    }
+    drop(job_tx);
+    scope(|scope| {
+        for _ in 0..workers {
+            let job_rx = Arc::clone(&job_rx);
+            let res_tx = res_tx.clone();
+            let f = &f;
+            scope.spawn(move || loop {
+                // A poisoned lock means a sibling worker panicked (a real
+                // bug in a job); stop pulling work and let the scope
+                // re-raise the original panic.
+                let slot = match job_rx.lock() {
+                    Ok(rx) => match rx.recv() {
+                        Ok(s) => s,
+                        Err(_) => break,
+                    },
+                    Err(_) => break,
+                };
+                if res_tx.send((slot, f(slot))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(res_tx);
+        for (slot, out) in res_rx {
+            slots[slot] = Some(out);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.ok_or_else(|| BaoError::Planning("pool worker dropped a job".into()))?)
+        .collect()
 }

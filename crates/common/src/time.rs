@@ -15,6 +15,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimDuration(f64);
 
+// Hand-written: a newtype encodes as its bare milliseconds.
 impl ToJson for SimDuration {
     fn to_json(&self) -> Json {
         Json::F(self.0)

@@ -10,7 +10,7 @@ use bao_opt::{HintSet, Optimizer, PlanFamily, PlanOutput};
 use bao_plan::{PlanNode, Query};
 use bao_stats::StatsCatalog;
 use bao_storage::{BufferPool, Database};
-use bao_common::sync::{mpsc, scope, Arc, Mutex};
+use bao_common::sync::{resolve_width, run_jobs, Arc, Mutex};
 use bao_wal::{fnv64, DurabilityConfig, Wal, WalRecord};
 use std::time::Duration;
 
@@ -181,6 +181,21 @@ impl Bao {
     /// its own `QueryOutcome` commit records).
     pub fn wal(&self) -> Option<&WalHandle> {
         self.wal.as_ref()
+    }
+
+    /// Buffer the WAL frames `records` builds, in order. Without an
+    /// attached WAL this is a no-op and `records` never runs. Appends only
+    /// buffer, so they cannot fail: I/O errors, and a poisoned lock,
+    /// surface at the next [`Bao::wal_commit`].
+    pub fn wal_append<I>(&self, records: impl FnOnce() -> I)
+    where
+        I: IntoIterator<Item = WalRecord>,
+    {
+        if let Some(Ok(mut w)) = self.wal.as_ref().map(|wal| wal.lock()) {
+            for record in records() {
+                w.append(&record);
+            }
+        }
     }
 
     /// Flush buffered WAL frames to disk (one group commit). No-op
@@ -497,13 +512,11 @@ impl Bao {
     /// once, in query order ([`Optimizer::prepare`] does every
     /// hint-independent part of planning); the arm jobs then share the
     /// read-only [`PlanFamily`]s. With `parallel_planning` the jobs run on
-    /// a pool of workers sized to the host (paper §6.2: "Bao makes heavy
-    /// use of parallelism, concurrently planning each arm"); each result
-    /// is tagged with its slot and re-slotted before return, so worker
-    /// count and scheduling never affect output order — the same
-    /// determinism-by-construction pattern as `bao_nn::train`'s sharded
-    /// gradient reduction. Errors surface in slot order, as a serial
-    /// query-by-arm loop would report them.
+    /// the shared [`run_jobs`] pool, `planning_threads` wide (paper §6.2:
+    /// "Bao makes heavy use of parallelism, concurrently planning each
+    /// arm"); results come back in slot order, so worker count and
+    /// scheduling never affect output order, and errors surface in slot
+    /// order, as a serial query-by-arm loop would report them.
     fn plan_jobs(
         &self,
         opt: &Optimizer,
@@ -525,64 +538,14 @@ impl Bao {
                 }
             }
         }
-        let n_jobs = families.len() * arms.len();
-        if !self.cfg.parallel_planning || n_jobs <= 1 {
-            let mut outputs = Vec::with_capacity(n_jobs);
-            for family in &families {
-                for &arm in arms {
-                    outputs.push(family.plan(arm)?);
-                }
-            }
-            return unprepared.map_or(Ok(outputs), Err);
-        }
-        let workers = match self.cfg.planning_threads {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        }
-        .min(n_jobs);
-        let mut slots: Vec<Option<Result<PlanOutput>>> = Vec::with_capacity(n_jobs);
-        slots.resize_with(n_jobs, || None);
-        let (job_tx, job_rx) = mpsc::channel::<usize>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (res_tx, res_rx) = mpsc::channel::<(usize, Result<PlanOutput>)>();
-        for slot in 0..n_jobs {
-            // Receiver outlives this loop; send cannot fail here.
-            let _ = job_tx.send(slot);
-        }
-        drop(job_tx);
-        let families = &families;
-        scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = Arc::clone(&job_rx);
-                let res_tx = res_tx.clone();
-                scope.spawn(move || loop {
-                    // A poisoned lock means a sibling worker panicked
-                    // (a real planner bug); stop pulling work and let
-                    // the scope re-raise the original panic.
-                    let slot = match job_rx.lock() {
-                        Ok(rx) => match rx.recv() {
-                            Ok(s) => s,
-                            Err(_) => break,
-                        },
-                        Err(_) => break,
-                    };
-                    let out = families[slot / arms.len()].plan(arms[slot % arms.len()]);
-                    if res_tx.send((slot, out)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(res_tx);
-            for (slot, out) in res_rx {
-                slots[slot] = Some(out);
-            }
-        });
-        let outputs = slots
-            .into_iter()
-            .map(|s| {
-                s.ok_or_else(|| BaoError::Planning("planner worker dropped a job".into()))?
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let workers = if self.cfg.parallel_planning {
+            resolve_width(self.cfg.planning_threads)
+        } else {
+            1
+        };
+        let outputs = run_jobs(workers, families.len() * arms.len(), |slot| {
+            families[slot / arms.len()].plan(arms[slot % arms.len()])
+        })?;
         unprepared.map_or(Ok(outputs), Err)
     }
 
@@ -590,18 +553,9 @@ impl Bao {
     /// period elapses. Off-policy observations (plans Bao did not select,
     /// paper §4) go through the same path.
     pub fn observe(&mut self, tree: FeatTree, perf: f64) -> Option<RetrainReport> {
-        if let Some(wal) = &self.wal {
-            // Append is infallible (it only buffers); I/O errors surface
-            // at the harness's `wal_commit`. A poisoned lock is ignored
-            // here for the same reason — commit will report it.
-            if let Ok(mut w) = wal.lock() {
-                w.append(&WalRecord::ExperienceAppend {
-                    step: self.observed as u64,
-                    tree: tree.clone(),
-                    perf,
-                });
-            }
-        }
+        self.wal_append(|| {
+            [WalRecord::ExperienceAppend { step: self.observed as u64, tree: tree.clone(), perf }]
+        });
         self.observed += 1;
         self.experience.add(tree, perf);
         self.since_retrain += 1;
@@ -664,23 +618,16 @@ impl Bao {
         self.since_retrain = 0;
         self.retrains += 1;
         let critical_rounds = self.fit_from_experience();
-        if let Some(wal) = &self.wal {
-            if let Ok(mut w) = wal.lock() {
-                // Checkpoint first, boundary last: the boundary record is
-                // the marker recovery keys on, and a checkpoint without
-                // its boundary is simply superseded by the refit path.
-                if let Some(snapshot) = self.model.snapshot_json() {
-                    w.append(&WalRecord::ModelCheckpoint {
-                        version: self.retrains as u64,
-                        model: snapshot,
-                    });
-                }
-                w.append(&WalRecord::RetrainBoundary {
-                    version: self.retrains as u64,
-                    experience_size: self.experience.len() as u64,
-                });
-            }
-        }
+        // Checkpoint first, boundary last: the boundary record is the
+        // marker recovery keys on, and a checkpoint without its boundary
+        // is simply superseded by the refit path.
+        let version = self.retrains as u64;
+        self.wal_append(|| {
+            let checkpoint =
+                self.model.snapshot_json().map(|model| WalRecord::ModelCheckpoint { version, model });
+            let experience_size = self.experience.len() as u64;
+            checkpoint.into_iter().chain([WalRecord::RetrainBoundary { version, experience_size }])
+        });
         let wall = started.elapsed();
         self.total_train_wall += wall;
         RetrainReport {

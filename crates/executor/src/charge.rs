@@ -1,7 +1,6 @@
 //! Cost meters and simulated-time conversion.
 
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::{Result, SimDuration};
+use bao_common::SimDuration;
 use bao_opt::CostParams;
 use bao_storage::{AccessKind, BufferPool, PageKey};
 
@@ -18,23 +17,7 @@ pub struct ChargeRates {
     pub ms_per_io_unit: f64,
 }
 
-impl ToJson for ChargeRates {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("ms_per_cpu_unit", self.ms_per_cpu_unit.to_json()),
-            ("ms_per_io_unit", self.ms_per_io_unit.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ChargeRates {
-    fn from_json(j: &Json) -> Result<ChargeRates> {
-        Ok(ChargeRates {
-            ms_per_cpu_unit: json::field(j, "ms_per_cpu_unit")?,
-            ms_per_io_unit: json::field(j, "ms_per_io_unit")?,
-        })
-    }
-}
+bao_common::json_record!(ChargeRates { ms_per_cpu_unit, ms_per_io_unit });
 
 impl Default for ChargeRates {
     fn default() -> Self {

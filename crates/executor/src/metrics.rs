@@ -1,8 +1,7 @@
 //! Per-query execution metrics and the configurable performance metric
 //! Bao optimizes (paper §3: "a user-defined performance metric P").
 
-use bao_common::json::{FromJson, Json, ToJson};
-use bao_common::{BaoError, Result, SimDuration};
+use bao_common::{json_enum, json_record, SimDuration};
 use bao_storage::Value;
 
 /// What Bao's reward measures (Figure 16 trains Bao against each).
@@ -16,29 +15,7 @@ pub enum PerfMetric {
     PhysicalIo,
 }
 
-impl ToJson for PerfMetric {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                PerfMetric::Latency => "Latency",
-                PerfMetric::CpuTime => "CpuTime",
-                PerfMetric::PhysicalIo => "PhysicalIo",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for PerfMetric {
-    fn from_json(j: &Json) -> Result<PerfMetric> {
-        match j.as_str() {
-            Some("Latency") => Ok(PerfMetric::Latency),
-            Some("CpuTime") => Ok(PerfMetric::CpuTime),
-            Some("PhysicalIo") => Ok(PerfMetric::PhysicalIo),
-            _ => Err(BaoError::Parse(format!("unknown PerfMetric {j:?}"))),
-        }
-    }
-}
+json_enum!(PerfMetric { Latency, CpuTime, PhysicalIo });
 
 /// Everything observed while executing one plan.
 #[derive(Debug, Clone)]
@@ -59,36 +36,16 @@ pub struct ExecutionMetrics {
     pub output: Vec<Vec<Value>>,
 }
 
-impl ToJson for ExecutionMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("latency", self.latency.to_json()),
-            ("cpu_time", self.cpu_time.to_json()),
-            ("io_time", self.io_time.to_json()),
-            ("page_hits", self.page_hits.to_json()),
-            ("page_misses", self.page_misses.to_json()),
-            ("rows_out", self.rows_out.to_json()),
-            ("node_true_rows", self.node_true_rows.to_json()),
-            ("output", self.output.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ExecutionMetrics {
-    fn from_json(j: &Json) -> Result<ExecutionMetrics> {
-        use bao_common::json::field;
-        Ok(ExecutionMetrics {
-            latency: field(j, "latency")?,
-            cpu_time: field(j, "cpu_time")?,
-            io_time: field(j, "io_time")?,
-            page_hits: field(j, "page_hits")?,
-            page_misses: field(j, "page_misses")?,
-            rows_out: field(j, "rows_out")?,
-            node_true_rows: field(j, "node_true_rows")?,
-            output: field(j, "output")?,
-        })
-    }
-}
+json_record!(ExecutionMetrics {
+    latency,
+    cpu_time,
+    io_time,
+    page_hits,
+    page_misses,
+    rows_out,
+    node_true_rows,
+    output,
+});
 
 impl ExecutionMetrics {
     /// The scalar reward value under a performance metric (lower is
@@ -105,6 +62,7 @@ impl ExecutionMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bao_common::json::{FromJson, Json, ToJson};
 
     #[test]
     fn perf_selects_metric() {

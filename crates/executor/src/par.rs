@@ -2,20 +2,20 @@
 //! fixed-size morsels (DESIGN.md §13).
 //!
 //! Sharded execution splits an operator's row space into morsels and runs
-//! them on a pool of workers built on `bao_common::sync` — the same
-//! slot-tagged determinism-by-construction pattern as `Bao::plan_jobs` and
-//! `bao_nn::train`'s sharded gradient reduction. Workers steal morsel
-//! indices from a shared queue (so a slow morsel never stalls the others),
-//! every result is tagged with its slot, and the coordinator re-slots
-//! before returning: worker count and scheduling can never affect output
-//! order. All *stateful* accounting (buffer-pool touches, f64 meter
-//! charges) stays on the coordinator in pinned order — workers only ever
-//! run pure compute — which is what makes sharded output bit-identical to
-//! the single-shard path.
+//! them on [`bao_common::sync::run_jobs`], the slot-tagged pool that
+//! `Bao::plan_jobs` also plans its arms on (the same
+//! determinism-by-construction pattern as `bao_nn::train`'s sharded
+//! gradient reduction). Workers steal morsel indices from a shared queue
+//! (so a slow morsel never stalls the others), every result is tagged
+//! with its slot, and the pool re-slots before returning: worker count
+//! and scheduling can never affect output order. All *stateful*
+//! accounting (buffer-pool touches, f64 meter charges) stays on the
+//! coordinator in pinned order — workers only ever run pure compute —
+//! which is what makes sharded output bit-identical to the single-shard
+//! path.
 
-use bao_common::sync::{mpsc, scope, Mutex};
-use bao_common::{BaoError, Result};
-use std::sync::Arc;
+use bao_common::sync::resolve_width;
+pub use bao_common::sync::run_jobs;
 
 /// Sharded-execution knobs threaded from `BaoConfig`/`BaoSettings` down to
 /// [`crate::execute_with`].
@@ -39,74 +39,14 @@ impl ExecConfig {
     /// A config with host-defaulted width resolved to a concrete worker
     /// count (`0` → one worker per available core).
     pub fn resolved_workers(&self) -> usize {
-        match self.shard_workers {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        }
+        resolve_width(self.shard_workers)
     }
-}
-
-/// Run `n_jobs` pure jobs on `workers` work-stealing workers and return
-/// the results in slot order. Jobs must not touch shared mutable state:
-/// everything order-sensitive belongs on the coordinator.
-///
-/// With one worker (or at most one job) the jobs run inline — the serial
-/// path is the parallel path with the pool optimized out, not a separate
-/// code path that could drift.
-pub fn run_jobs<T, F>(workers: usize, n_jobs: usize, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    if workers <= 1 || n_jobs <= 1 {
-        return (0..n_jobs).map(f).collect();
-    }
-    let workers = workers.min(n_jobs);
-    let mut slots: Vec<Option<Result<T>>> = Vec::with_capacity(n_jobs);
-    slots.resize_with(n_jobs, || None);
-    let (job_tx, job_rx) = mpsc::channel::<usize>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let (res_tx, res_rx) = mpsc::channel::<(usize, Result<T>)>();
-    for slot in 0..n_jobs {
-        // Receiver outlives this loop; send cannot fail here.
-        let _ = job_tx.send(slot);
-    }
-    drop(job_tx);
-    scope(|scope| {
-        for _ in 0..workers {
-            let job_rx = Arc::clone(&job_rx);
-            let res_tx = res_tx.clone();
-            let f = &f;
-            scope.spawn(move || loop {
-                // A poisoned lock means a sibling worker panicked (a real
-                // executor bug); stop pulling work and let the scope
-                // re-raise the original panic.
-                let slot = match job_rx.lock() {
-                    Ok(rx) => match rx.recv() {
-                        Ok(s) => s,
-                        Err(_) => break,
-                    },
-                    Err(_) => break,
-                };
-                if res_tx.send((slot, f(slot))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(res_tx);
-        for (slot, out) in res_rx {
-            slots[slot] = Some(out);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.ok_or_else(|| BaoError::Planning("morsel worker dropped a job".into()))?)
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bao_common::{BaoError, Result};
 
     #[test]
     fn results_in_slot_order_regardless_of_width() {
@@ -129,6 +69,17 @@ mod tests {
                 }
             });
         assert!(out.is_err());
+    }
+
+    #[test]
+    fn first_error_in_slot_order_wins() {
+        for workers in [1usize, 2, 4] {
+            let out: Result<Vec<usize>> = run_jobs(workers, 8, |i| match i {
+                2 | 6 => Err(BaoError::Planning(format!("job {i}"))),
+                _ => Ok(i),
+            });
+            assert_eq!(out, Err(BaoError::Planning("job 2".into())), "workers={workers}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use bao_cloud::{gpu_train_time, CostReport, VmType};
 use bao_common::json::{self, FromJson, Json, ToJson};
 use bao_common::sync::{Arc, Mutex};
-use bao_common::{split_seed, BaoError, Result, SimDuration};
+use bao_common::{json_record, split_seed, BaoError, Result, SimDuration};
 use bao_core::{Bao, BaoConfig};
 use bao_wal::{fnv64, DurabilityConfig, Wal, WalRecord};
 use bao_exec::{execute_with, ExecConfig, PerfMetric};
@@ -201,25 +201,22 @@ pub struct RunResult {
     pub wall_train: std::time::Duration,
 }
 
-impl ToJson for QueryRecord {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("idx", self.idx.to_json()),
-            ("label", self.label.to_json()),
-            ("arm", self.arm.to_json()),
-            ("opt_time", self.opt_time.to_json()),
-            ("latency", self.latency.to_json()),
-            ("cpu_time", self.cpu_time.to_json()),
-            ("physical_io", self.physical_io.to_json()),
-            ("perf", self.perf.to_json()),
-            ("clock", self.clock.to_json()),
-            ("gpu_time", self.gpu_time.to_json()),
-            ("arm_perfs", self.arm_perfs.to_json()),
-            ("plan", self.plan.to_json()),
-        ])
-    }
-}
+json_record!(QueryRecord {
+    idx,
+    label,
+    arm,
+    opt_time,
+    latency,
+    cpu_time,
+    physical_io,
+    perf,
+    clock,
+    gpu_time,
+    arm_perfs,
+    plan,
+});
 
+// Hand-written: `wall_train` is stored as `wall_train_secs`, checked on decode.
 impl ToJson for RunResult {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -229,25 +226,6 @@ impl ToJson for RunResult {
             ("total_gpu", self.total_gpu.to_json()),
             ("wall_train_secs", self.wall_train.as_secs_f64().to_json()),
         ])
-    }
-}
-
-impl FromJson for QueryRecord {
-    fn from_json(j: &Json) -> Result<QueryRecord> {
-        Ok(QueryRecord {
-            idx: json::field(j, "idx")?,
-            label: json::field(j, "label")?,
-            arm: json::field(j, "arm")?,
-            opt_time: json::field(j, "opt_time")?,
-            latency: json::field(j, "latency")?,
-            cpu_time: json::field(j, "cpu_time")?,
-            physical_io: json::field(j, "physical_io")?,
-            perf: json::field(j, "perf")?,
-            clock: json::field(j, "clock")?,
-            gpu_time: json::field(j, "gpu_time")?,
-            arm_perfs: json::field(j, "arm_perfs")?,
-            plan: json::field(j, "plan")?,
-        })
     }
 }
 
@@ -462,11 +440,7 @@ impl Runner {
     /// it as the commit marker and rolls back anything after it.
     fn commit_outcome(&self, record: &QueryRecord) -> Result<()> {
         let Some(bao) = self.bao.as_ref() else { return Ok(()) };
-        if let Some(wal) = bao.wal() {
-            if let Ok(mut w) = wal.lock() {
-                w.append(&WalRecord::QueryOutcome { record: record.to_json() });
-            }
-        }
+        bao.wal_append(|| [WalRecord::QueryOutcome { record: record.to_json() }]);
         bao.wal_commit()
     }
 

@@ -22,6 +22,7 @@ use bao_exec::execute_with;
 use bao_plan::{fingerprint, QueryFingerprint};
 use bao_sched::{QueryArrival, SchedConfig, SchedReport, Scheduler};
 use bao_storage::Database;
+use bao_wal::WalRecord;
 use bao_workloads::Workload;
 
 /// Deterministic latency perturbation for drift testing: every query at
@@ -515,17 +516,15 @@ fn run_bao_serving(
                     // entries died for post-hoc drift analysis.
                     if matches!(outcome, DriftOutcome::Evicted | DriftOutcome::Shed) {
                         if let Some(bao) = inner.bao.as_ref() {
-                            if let Some(wal) = bao.wal() {
-                                if let Ok(mut w) = wal.lock() {
-                                    w.append(&bao_wal::WalRecord::CacheInvalidation {
-                                        version: bao.model_version() as u64,
-                                        reason: match outcome {
-                                            DriftOutcome::Shed => "drift_shed".into(),
-                                            _ => "drift_evicted".into(),
-                                        },
-                                    });
-                                }
-                            }
+                            bao.wal_append(|| {
+                                [WalRecord::CacheInvalidation {
+                                    version: bao.model_version() as u64,
+                                    reason: match outcome {
+                                        DriftOutcome::Shed => "drift_shed".into(),
+                                        _ => "drift_evicted".into(),
+                                    },
+                                }]
+                            });
                         }
                     }
                 }
@@ -569,13 +568,7 @@ fn run_bao_serving(
                     plan: sel.plan,
                 };
                 if let Some(bao) = inner.bao.as_ref() {
-                    if let Some(wal) = bao.wal() {
-                        if let Ok(mut w) = wal.lock() {
-                            w.append(&bao_wal::WalRecord::QueryOutcome {
-                                record: record.to_json(),
-                            });
-                        }
-                    }
+                    bao.wal_append(|| [WalRecord::QueryOutcome { record: record.to_json() }]);
                 }
                 records.push(record);
             }

@@ -123,10 +123,11 @@ fn main() -> ExitCode {
         .map(|(r, n)| format!("{}={n}", r.name()))
         .collect();
     eprintln!(
-        "bao-lint: {} file(s) scanned, {} finding(s) [{}]",
+        "bao-lint: {} file(s) scanned, {} finding(s) [{}], {} production line(s)",
         report.files_scanned,
         report.diagnostics.len(),
-        counts.join(" ")
+        counts.join(" "),
+        report.production_lines
     );
 
     if let Some(out) = &opts.json_out {

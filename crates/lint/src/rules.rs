@@ -43,9 +43,9 @@
 //!   the kind of hole that lets an unexplored interleaving ship.
 //! * `no-unpinned-pool-width` — a worker-pool spawn (`.spawn(`) inside a
 //!   `for` loop with an integer-literal range bound hard-codes the pool's
-//!   width; every pool in the workspace (`bao_core::plan_jobs`,
-//!   `bao_nn::train`, `bao_exec::run_jobs`) must take its width from
-//!   config (`planning_threads` / `TrainConfig::threads` /
+//!   width; every pool in the workspace (`bao_common::sync::run_jobs`,
+//!   shared by planning and morsels, and `bao_nn::train`) must take its
+//!   width from config (`planning_threads` / `TrainConfig::threads` /
 //!   `shard_workers`) so deployments and the race explorer control it.
 //! * `no-unlogged-persistence` — durable state must flow through the WAL
 //!   (DESIGN.md §14): direct `std::fs` writes (`fs::write`,

@@ -51,6 +51,16 @@ impl MaskedSource {
         self.literal_loop_lines.get(line - 1).copied().unwrap_or(false)
     }
 
+    /// Lines that still hold code once comments and literal contents are
+    /// masked, outside test-only regions: the workspace's size measure.
+    pub fn production_lines(&self) -> usize {
+        self.lines
+            .iter()
+            .enumerate()
+            .filter(|(i, l)| !l.trim().is_empty() && !self.is_test_line(i + 1))
+            .count()
+    }
+
     /// Is a diagnostic for `rule` at 1-based `line` suppressed by a
     /// pragma? Pragmas apply to their own line and to the line below
     /// (so both trailing and preceding-line annotations work).

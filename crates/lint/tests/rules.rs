@@ -18,6 +18,15 @@ fn lines_for(rule: RuleId, path: &str, src: &str) -> Vec<usize> {
 }
 
 #[test]
+fn production_lines_count_code_outside_tests() {
+    let src = include_str!("fixtures/production_lines.rs");
+    // Code survives masking on lines 4, 6, 7, 11 and 13 (`;` after the
+    // literal). Comments (1, 3, 5, 9-10), the literal's middle line (12)
+    // and the #[cfg(test)] module (15-21) do not count.
+    assert_eq!(bao_lint::scan::mask(src).production_lines(), 5);
+}
+
+#[test]
 fn no_wall_clock_fires_at_exact_lines() {
     let src = include_str!("fixtures/no_wall_clock.rs");
     // Line 6: Instant::now; line 11: SystemTime::now. The string/comment

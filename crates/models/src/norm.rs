@@ -2,9 +2,6 @@
 //! spanning five orders of magnitude), so models train on standardized
 //! `ln(1 + y)` and predictions are mapped back.
 
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::Result;
-
 /// A fitted log-standardization transform.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetNorm {
@@ -12,17 +9,7 @@ pub struct TargetNorm {
     std: f64,
 }
 
-impl ToJson for TargetNorm {
-    fn to_json(&self) -> Json {
-        Json::obj([("mean", self.mean.to_json()), ("std", self.std.to_json())])
-    }
-}
-
-impl FromJson for TargetNorm {
-    fn from_json(j: &Json) -> Result<TargetNorm> {
-        Ok(TargetNorm { mean: json::field(j, "mean")?, std: json::field(j, "std")? })
-    }
-}
+bao_common::json_record!(TargetNorm { mean, std });
 
 impl TargetNorm {
     /// Fit on raw targets (values clamped at 0 before the log).

@@ -1,8 +1,6 @@
 //! The Adam optimizer (Kingma & Ba), as used for all paper training runs.
 
 use crate::param::Param;
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::Result;
 
 /// Adam hyperparameters; defaults match the paper's training setup.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -13,27 +11,7 @@ pub struct AdamConfig {
     pub eps: f32,
 }
 
-impl ToJson for AdamConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("lr", self.lr.to_json()),
-            ("beta1", self.beta1.to_json()),
-            ("beta2", self.beta2.to_json()),
-            ("eps", self.eps.to_json()),
-        ])
-    }
-}
-
-impl FromJson for AdamConfig {
-    fn from_json(j: &Json) -> Result<AdamConfig> {
-        Ok(AdamConfig {
-            lr: json::field(j, "lr")?,
-            beta1: json::field(j, "beta1")?,
-            beta2: json::field(j, "beta2")?,
-            eps: json::field(j, "eps")?,
-        })
-    }
-}
+bao_common::json_record!(AdamConfig { lr, beta1, beta2, eps });
 
 impl Default for AdamConfig {
     fn default() -> Self {

@@ -21,8 +21,6 @@
 //! reorder additions.
 
 use crate::param::Param;
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::Result;
 
 /// Parameters of one tree-convolution layer: a triangle filter with
 /// separate weights for the node, its left child, and its right child.
@@ -34,27 +32,7 @@ pub struct TreeConvParams {
     pub bias: Param,
 }
 
-impl ToJson for TreeConvParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("top", self.top.to_json()),
-            ("left", self.left.to_json()),
-            ("right", self.right.to_json()),
-            ("bias", self.bias.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TreeConvParams {
-    fn from_json(j: &Json) -> Result<TreeConvParams> {
-        Ok(TreeConvParams {
-            top: json::field(j, "top")?,
-            left: json::field(j, "left")?,
-            right: json::field(j, "right")?,
-            bias: json::field(j, "bias")?,
-        })
-    }
-}
+bao_common::json_record!(TreeConvParams { top, left, right, bias });
 
 impl TreeConvParams {
     pub fn new(in_c: usize, out_c: usize, seed: u64) -> Self {

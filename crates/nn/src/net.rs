@@ -8,8 +8,7 @@ use crate::layers::{
 };
 use crate::param::Param;
 use crate::tree::{FeatTree, TreeBatch};
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::{split_seed, Result, Rng, RngCore};
+use bao_common::{json_record, split_seed, Rng, RngCore};
 
 /// Network shape. `channels` are the three tree-convolution widths and
 /// `hidden` the width of the first fully connected layer; the output is a
@@ -54,27 +53,7 @@ impl TcnnConfig {
     }
 }
 
-impl ToJson for TcnnConfig {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("input_dim", self.input_dim.to_json()),
-            ("channels", self.channels.to_json()),
-            ("hidden", self.hidden.to_json()),
-            ("dropout", self.dropout.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TcnnConfig {
-    fn from_json(j: &Json) -> Result<TcnnConfig> {
-        Ok(TcnnConfig {
-            input_dim: json::field(j, "input_dim")?,
-            channels: json::field(j, "channels")?,
-            hidden: json::field(j, "hidden")?,
-            dropout: json::field(j, "dropout")?,
-        })
-    }
-}
+json_record!(TcnnConfig { input_dim, channels, hidden, dropout });
 
 /// One layer-norm parameter pair.
 #[derive(Debug, Clone)]
@@ -83,17 +62,7 @@ pub(crate) struct LnParams {
     pub(crate) beta: Param,
 }
 
-impl ToJson for LnParams {
-    fn to_json(&self) -> Json {
-        Json::obj([("gamma", self.gamma.to_json()), ("beta", self.beta.to_json())])
-    }
-}
-
-impl FromJson for LnParams {
-    fn from_json(j: &Json) -> Result<LnParams> {
-        Ok(LnParams { gamma: json::field(j, "gamma")?, beta: json::field(j, "beta")? })
-    }
-}
+json_record!(LnParams { gamma, beta });
 
 /// The TCNN: 3 × (tree conv → layer norm → ReLU) → dynamic max pool →
 /// FC → ReLU → FC → scalar.
@@ -108,33 +77,7 @@ pub struct TreeCnn {
     pub(crate) fc2_b: Param,
 }
 
-impl ToJson for TreeCnn {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("cfg", self.cfg.to_json()),
-            ("conv", self.conv.to_json()),
-            ("ln", self.ln.to_json()),
-            ("fc1_w", self.fc1_w.to_json()),
-            ("fc1_b", self.fc1_b.to_json()),
-            ("fc2_w", self.fc2_w.to_json()),
-            ("fc2_b", self.fc2_b.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TreeCnn {
-    fn from_json(j: &Json) -> Result<TreeCnn> {
-        Ok(TreeCnn {
-            cfg: json::field(j, "cfg")?,
-            conv: json::field(j, "conv")?,
-            ln: json::field(j, "ln")?,
-            fc1_w: json::field(j, "fc1_w")?,
-            fc1_b: json::field(j, "fc1_b")?,
-            fc2_w: json::field(j, "fc2_w")?,
-            fc2_b: json::field(j, "fc2_b")?,
-        })
-    }
-}
+json_record!(TreeCnn { cfg, conv, ln, fc1_w, fc1_b, fc2_w, fc2_b });
 
 /// Inverted dropout in one pass: draws each unit's keep/drop decision and
 /// scales `act` in place, returning the mask for backward (`None` when
@@ -531,6 +474,7 @@ impl TreeCnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bao_common::json::{FromJson, ToJson};
     use bao_common::rng_from_seed;
 
     fn random_tree(rng: &mut impl Rng, dim: usize) -> FeatTree {

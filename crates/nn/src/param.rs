@@ -1,7 +1,7 @@
 //! Parameter tensors with gradient and Adam-moment storage.
 
 use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::{rng_from_seed, Result, Rng};
+use bao_common::{rng_from_seed, BaoError, Result, Rng};
 
 /// A learnable tensor: weights, accumulated gradient, and Adam moments.
 /// Stored row-major as `rows × cols` (a vector parameter has `cols == 1`).
@@ -17,6 +17,7 @@ pub struct Param {
     pub v: Vec<f32>,
 }
 
+// Hand-written: only `w` persists, and decode checks it holds `rows * cols` weights.
 impl ToJson for Param {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -29,14 +30,16 @@ impl ToJson for Param {
 
 impl FromJson for Param {
     fn from_json(j: &Json) -> Result<Param> {
-        Ok(Param {
-            rows: json::field(j, "rows")?,
-            cols: json::field(j, "cols")?,
-            w: json::field(j, "w")?,
-            g: Vec::new(),
-            m: Vec::new(),
-            v: Vec::new(),
-        })
+        let rows: usize = json::field(j, "rows")?;
+        let cols: usize = json::field(j, "cols")?;
+        let w: Vec<f32> = json::field(j, "w")?;
+        if rows.checked_mul(cols) != Some(w.len()) {
+            return Err(BaoError::Parse(format!(
+                "param holds {} weights, expected {rows}x{cols}",
+                w.len()
+            )));
+        }
+        Ok(Param { rows, cols, w, g: Vec::new(), m: Vec::new(), v: Vec::new() })
     }
 }
 
@@ -378,6 +381,16 @@ mod tests {
         assert!(z.w.iter().all(|&x| x == 0.0));
         let o = Param::ones(2, 1);
         assert!(o.w.iter().all(|&x| x == 1.0));
+    }
+
+    #[test]
+    fn decode_rejects_weight_count_mismatch() {
+        let p = Param::he(2, 3, 1);
+        assert_eq!(Param::from_json(&p.to_json()).unwrap().w, p.w);
+        let short = json::parse(r#"{"rows":2,"cols":2,"w":[1.0,2.0,3.0]}"#).unwrap();
+        assert!(matches!(Param::from_json(&short), Err(BaoError::Parse(_))));
+        let overflow = json::parse(r#"{"rows":18446744073709551615,"cols":2,"w":[]}"#).unwrap();
+        assert!(matches!(Param::from_json(&overflow), Err(BaoError::Parse(_))));
     }
 
     #[test]

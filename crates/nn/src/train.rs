@@ -42,6 +42,7 @@ pub struct TrainConfig {
     pub shard_size: usize,
 }
 
+// Hand-written: models saved before the batched trainer lack `threads`/`shard_size`.
 impl ToJson for TrainConfig {
     fn to_json(&self) -> Json {
         Json::obj([

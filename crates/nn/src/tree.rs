@@ -1,7 +1,7 @@
 //! Binarized feature trees: the TCNN's input format.
 
 use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::Result;
+use bao_common::{BaoError, Result};
 
 /// A binary tree of feature vectors, flattened to parallel arrays.
 ///
@@ -19,6 +19,7 @@ pub struct FeatTree {
     pub right: Vec<i32>,
 }
 
+// Hand-written: decode rejects trees that fail `is_well_formed`.
 impl ToJson for FeatTree {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -32,12 +33,16 @@ impl ToJson for FeatTree {
 
 impl FromJson for FeatTree {
     fn from_json(j: &Json) -> Result<FeatTree> {
-        Ok(FeatTree {
+        let tree = FeatTree {
             feat_dim: json::field(j, "feat_dim")?,
             feats: json::field(j, "feats")?,
             left: json::field(j, "left")?,
             right: json::field(j, "right")?,
-        })
+        };
+        if !tree.is_well_formed() {
+            return Err(BaoError::Parse("malformed feature tree".into()));
+        }
+        Ok(tree)
     }
 }
 
@@ -67,11 +72,14 @@ impl FeatTree {
         &self.feats[node * self.feat_dim..(node + 1) * self.feat_dim]
     }
 
-    /// Validate structural invariants (child indices in range, acyclic by
-    /// the pre-order convention children follow parents).
+    /// Validate structural invariants (one child link of each side per
+    /// node, child indices in range, acyclic by the pre-order convention
+    /// children follow parents).
     pub fn is_well_formed(&self) -> bool {
         let n = self.n_nodes() as i32;
-        if self.feats.len() != self.n_nodes() * self.feat_dim {
+        if self.right.len() != self.left.len()
+            || self.n_nodes().checked_mul(self.feat_dim) != Some(self.feats.len())
+        {
             return false;
         }
         for i in 0..self.n_nodes() {
@@ -187,6 +195,18 @@ mod tests {
         let mut t = three_node();
         t.feats.pop();
         assert!(!t.is_well_formed());
+    }
+
+    #[test]
+    fn decode_rejects_malformed_trees() {
+        let t = three_node();
+        assert_eq!(FeatTree::from_json(&t.to_json()).unwrap(), t);
+        let mut bad = three_node();
+        bad.right[0] = 7; // out of range: would panic at first use
+        assert!(matches!(FeatTree::from_json(&bad.to_json()), Err(BaoError::Parse(_))));
+        let mut bad = three_node();
+        bad.right.pop(); // link arrays disagree
+        assert!(matches!(FeatTree::from_json(&bad.to_json()), Err(BaoError::Parse(_))));
     }
 
     #[test]

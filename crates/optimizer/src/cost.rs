@@ -7,8 +7,6 @@
 //! optimizer's expectation only through cardinality estimation error —
 //! exactly the gap Bao's hint sets exploit.
 
-use bao_common::json::{Json, ToJson};
-
 /// Cost-model constants. Units are PostgreSQL cost units, where reading
 /// one page sequentially from disk costs 1.0.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,18 +34,14 @@ impl Default for CostParams {
     }
 }
 
-impl ToJson for CostParams {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("seq_page_cost", self.seq_page_cost.to_json()),
-            ("random_page_cost", self.random_page_cost.to_json()),
-            ("cpu_tuple_cost", self.cpu_tuple_cost.to_json()),
-            ("cpu_index_tuple_cost", self.cpu_index_tuple_cost.to_json()),
-            ("cpu_operator_cost", self.cpu_operator_cost.to_json()),
-            ("disable_cost", self.disable_cost.to_json()),
-        ])
-    }
-}
+bao_common::json_record!(CostParams {
+    seq_page_cost,
+    random_page_cost,
+    cpu_tuple_cost,
+    cpu_index_tuple_cost,
+    cpu_operator_cost,
+    disable_cost,
+});
 
 impl CostParams {
     /// Penalty for an operator choice: zero when the hint set enables the

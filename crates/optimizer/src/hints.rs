@@ -13,8 +13,7 @@
 //! always dominated in this engine. Experiment binaries use `family_49`
 //! unless `--arms 48` is requested.
 
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::Result;
+use bao_common::json_record;
 use bao_plan::{JoinAlgo, ScanKind};
 use std::fmt;
 
@@ -36,31 +35,14 @@ pub struct HintSet {
     pub index_only_scan: bool,
 }
 
-impl ToJson for HintSet {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("hash_join", self.hash_join.to_json()),
-            ("merge_join", self.merge_join.to_json()),
-            ("nested_loop", self.nested_loop.to_json()),
-            ("seq_scan", self.seq_scan.to_json()),
-            ("index_scan", self.index_scan.to_json()),
-            ("index_only_scan", self.index_only_scan.to_json()),
-        ])
-    }
-}
-
-impl FromJson for HintSet {
-    fn from_json(j: &Json) -> Result<HintSet> {
-        Ok(HintSet {
-            hash_join: json::field(j, "hash_join")?,
-            merge_join: json::field(j, "merge_join")?,
-            nested_loop: json::field(j, "nested_loop")?,
-            seq_scan: json::field(j, "seq_scan")?,
-            index_scan: json::field(j, "index_scan")?,
-            index_only_scan: json::field(j, "index_only_scan")?,
-        })
-    }
-}
+json_record!(HintSet {
+    hash_join,
+    merge_join,
+    nested_loop,
+    seq_scan,
+    index_scan,
+    index_only_scan,
+});
 
 impl Default for HintSet {
     fn default() -> Self {

@@ -6,8 +6,7 @@
 //! the *position* of their table in the FROM list plus a column name, so
 //! self-joins under different aliases work naturally.
 
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::{BaoError, Result};
+use bao_common::{json_enum, json_record};
 use bao_storage::Value;
 use std::fmt;
 
@@ -205,173 +204,21 @@ impl Query {
 }
 
 
-impl ToJson for TableRef {
-    fn to_json(&self) -> Json {
-        Json::obj([("table", self.table.to_json()), ("alias", self.alias.to_json())])
-    }
-}
-
-impl FromJson for TableRef {
-    fn from_json(j: &Json) -> Result<TableRef> {
-        Ok(TableRef { table: json::field(j, "table")?, alias: json::field(j, "alias")? })
-    }
-}
-
-impl ToJson for ColRef {
-    fn to_json(&self) -> Json {
-        Json::obj([("table", self.table.to_json()), ("column", self.column.to_json())])
-    }
-}
-
-impl FromJson for ColRef {
-    fn from_json(j: &Json) -> Result<ColRef> {
-        Ok(ColRef { table: json::field(j, "table")?, column: json::field(j, "column")? })
-    }
-}
-
-impl ToJson for CmpOp {
-    fn to_json(&self) -> Json {
-        Json::Str(
-            match self {
-                CmpOp::Eq => "Eq",
-                CmpOp::Lt => "Lt",
-                CmpOp::Le => "Le",
-                CmpOp::Gt => "Gt",
-                CmpOp::Ge => "Ge",
-                CmpOp::Ne => "Ne",
-            }
-            .to_string(),
-        )
-    }
-}
-
-impl FromJson for CmpOp {
-    fn from_json(j: &Json) -> Result<CmpOp> {
-        match j.as_str() {
-            Some("Eq") => Ok(CmpOp::Eq),
-            Some("Lt") => Ok(CmpOp::Lt),
-            Some("Le") => Ok(CmpOp::Le),
-            Some("Gt") => Ok(CmpOp::Gt),
-            Some("Ge") => Ok(CmpOp::Ge),
-            Some("Ne") => Ok(CmpOp::Ne),
-            _ => Err(BaoError::Parse(format!("unknown CmpOp {j:?}"))),
-        }
-    }
-}
-
-impl ToJson for Predicate {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("col", self.col.to_json()),
-            ("op", self.op.to_json()),
-            ("value", self.value.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Predicate {
-    fn from_json(j: &Json) -> Result<Predicate> {
-        Ok(Predicate {
-            col: json::field(j, "col")?,
-            op: json::field(j, "op")?,
-            value: json::field(j, "value")?,
-        })
-    }
-}
-
-impl ToJson for JoinPred {
-    fn to_json(&self) -> Json {
-        Json::obj([("left", self.left.to_json()), ("right", self.right.to_json())])
-    }
-}
-
-impl FromJson for JoinPred {
-    fn from_json(j: &Json) -> Result<JoinPred> {
-        Ok(JoinPred { left: json::field(j, "left")?, right: json::field(j, "right")? })
-    }
-}
-
-impl ToJson for AggFunc {
-    fn to_json(&self) -> Json {
-        match self {
-            AggFunc::CountStar => Json::Str("CountStar".to_string()),
-            AggFunc::Count(c) => Json::obj([("Count", c.to_json())]),
-            AggFunc::Sum(c) => Json::obj([("Sum", c.to_json())]),
-            AggFunc::Min(c) => Json::obj([("Min", c.to_json())]),
-            AggFunc::Max(c) => Json::obj([("Max", c.to_json())]),
-            AggFunc::Avg(c) => Json::obj([("Avg", c.to_json())]),
-        }
-    }
-}
-
-impl FromJson for AggFunc {
-    fn from_json(j: &Json) -> Result<AggFunc> {
-        if j.as_str() == Some("CountStar") {
-            return Ok(AggFunc::CountStar);
-        }
-        for (tag, make) in [
-            ("Count", AggFunc::Count as fn(ColRef) -> AggFunc),
-            ("Sum", AggFunc::Sum),
-            ("Min", AggFunc::Min),
-            ("Max", AggFunc::Max),
-            ("Avg", AggFunc::Avg),
-        ] {
-            if let Some(v) = j.get(tag) {
-                return Ok(make(ColRef::from_json(v)?));
-            }
-        }
-        Err(BaoError::Parse(format!("unknown AggFunc {j:?}")))
-    }
-}
-
-impl ToJson for SelectItem {
-    fn to_json(&self) -> Json {
-        match self {
-            SelectItem::Column(c) => Json::obj([("Column", c.to_json())]),
-            SelectItem::Agg(a) => Json::obj([("Agg", a.to_json())]),
-        }
-    }
-}
-
-impl FromJson for SelectItem {
-    fn from_json(j: &Json) -> Result<SelectItem> {
-        if let Some(v) = j.get("Column") {
-            Ok(SelectItem::Column(ColRef::from_json(v)?))
-        } else if let Some(v) = j.get("Agg") {
-            Ok(SelectItem::Agg(AggFunc::from_json(v)?))
-        } else {
-            Err(BaoError::Parse(format!("unknown SelectItem {j:?}")))
-        }
-    }
-}
-
-impl ToJson for Query {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("tables", self.tables.to_json()),
-            ("select", self.select.to_json()),
-            ("predicates", self.predicates.to_json()),
-            ("joins", self.joins.to_json()),
-            ("group_by", self.group_by.to_json()),
-            ("order_by", self.order_by.to_json()),
-            ("limit", self.limit.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Query {
-    fn from_json(j: &Json) -> Result<Query> {
-        Ok(Query {
-            tables: json::field(j, "tables")?,
-            select: json::field(j, "select")?,
-            predicates: json::field(j, "predicates")?,
-            joins: json::field(j, "joins")?,
-            group_by: json::field(j, "group_by")?,
-            order_by: json::field(j, "order_by")?,
-            limit: json::field(j, "limit")?,
-        })
-    }
-}
+json_record!(TableRef { table, alias });
+json_record!(ColRef { table, column });
+json_enum!(CmpOp { Eq, Lt, Le, Gt, Ge, Ne });
+json_record!(Predicate { col, op, value });
+json_record!(JoinPred { left, right });
+json_enum!(AggFunc {
+    CountStar,
+    Count(ColRef),
+    Sum(ColRef),
+    Min(ColRef),
+    Max(ColRef),
+    Avg(ColRef),
+});
+json_enum!(SelectItem { Column(ColRef), Agg(AggFunc) });
+json_record!(Query { tables, select, predicates, joins, group_by, order_by, limit });
 
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

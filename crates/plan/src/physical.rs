@@ -5,8 +5,7 @@
 //! cumulative cost — the two numeric features of Figure 4's vectors.
 
 use crate::logical::{AggFunc, ColRef, JoinPred, Predicate};
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::{BaoError, Result};
+use bao_common::{json_enum, json_record};
 use std::fmt;
 
 /// Scan strategies (the scan half of the hint-set space).
@@ -70,109 +69,17 @@ pub enum Operator {
     Aggregate { group_by: Vec<ColRef>, aggs: Vec<AggFunc> },
 }
 
-
-impl ToJson for Operator {
-    fn to_json(&self) -> Json {
-        match self {
-            Operator::SeqScan { table, preds } => Json::obj([(
-                "SeqScan",
-                Json::obj([("table", table.to_json()), ("preds", preds.to_json())]),
-            )]),
-            Operator::IndexScan { table, column, lo, hi, residual, param } => Json::obj([(
-                "IndexScan",
-                Json::obj([
-                    ("table", table.to_json()),
-                    ("column", column.to_json()),
-                    ("lo", lo.to_json()),
-                    ("hi", hi.to_json()),
-                    ("residual", residual.to_json()),
-                    ("param", param.to_json()),
-                ]),
-            )]),
-            Operator::IndexOnlyScan { table, column, lo, hi, param } => Json::obj([(
-                "IndexOnlyScan",
-                Json::obj([
-                    ("table", table.to_json()),
-                    ("column", column.to_json()),
-                    ("lo", lo.to_json()),
-                    ("hi", hi.to_json()),
-                    ("param", param.to_json()),
-                ]),
-            )]),
-            Operator::NestedLoopJoin { pred } => {
-                Json::obj([("NestedLoopJoin", Json::obj([("pred", pred.to_json())]))])
-            }
-            Operator::HashJoin { pred } => {
-                Json::obj([("HashJoin", Json::obj([("pred", pred.to_json())]))])
-            }
-            Operator::MergeJoin { pred } => {
-                Json::obj([("MergeJoin", Json::obj([("pred", pred.to_json())]))])
-            }
-            Operator::Filter { preds } => {
-                Json::obj([("Filter", Json::obj([("preds", preds.to_json())]))])
-            }
-            Operator::Sort { keys } => {
-                Json::obj([("Sort", Json::obj([("keys", keys.to_json())]))])
-            }
-            Operator::Aggregate { group_by, aggs } => Json::obj([(
-                "Aggregate",
-                Json::obj([("group_by", group_by.to_json()), ("aggs", aggs.to_json())]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for Operator {
-    fn from_json(j: &Json) -> Result<Operator> {
-        if let Some(v) = j.get("SeqScan") {
-            return Ok(Operator::SeqScan {
-                table: json::field(v, "table")?,
-                preds: json::field(v, "preds")?,
-            });
-        }
-        if let Some(v) = j.get("IndexScan") {
-            return Ok(Operator::IndexScan {
-                table: json::field(v, "table")?,
-                column: json::field(v, "column")?,
-                lo: json::field(v, "lo")?,
-                hi: json::field(v, "hi")?,
-                residual: json::field(v, "residual")?,
-                param: json::field(v, "param")?,
-            });
-        }
-        if let Some(v) = j.get("IndexOnlyScan") {
-            return Ok(Operator::IndexOnlyScan {
-                table: json::field(v, "table")?,
-                column: json::field(v, "column")?,
-                lo: json::field(v, "lo")?,
-                hi: json::field(v, "hi")?,
-                param: json::field(v, "param")?,
-            });
-        }
-        if let Some(v) = j.get("NestedLoopJoin") {
-            return Ok(Operator::NestedLoopJoin { pred: json::field(v, "pred")? });
-        }
-        if let Some(v) = j.get("HashJoin") {
-            return Ok(Operator::HashJoin { pred: json::field(v, "pred")? });
-        }
-        if let Some(v) = j.get("MergeJoin") {
-            return Ok(Operator::MergeJoin { pred: json::field(v, "pred")? });
-        }
-        if let Some(v) = j.get("Filter") {
-            return Ok(Operator::Filter { preds: json::field(v, "preds")? });
-        }
-        if let Some(v) = j.get("Sort") {
-            return Ok(Operator::Sort { keys: json::field(v, "keys")? });
-        }
-        if let Some(v) = j.get("Aggregate") {
-            return Ok(Operator::Aggregate {
-                group_by: json::field(v, "group_by")?,
-                aggs: json::field(v, "aggs")?,
-            });
-        }
-        Err(BaoError::Parse("unknown physical operator variant".into()))
-    }
-}
+json_enum!(Operator {
+    SeqScan { table, preds },
+    IndexScan { table, column, lo, hi, residual, param },
+    IndexOnlyScan { table, column, lo, hi, param },
+    NestedLoopJoin { pred },
+    HashJoin { pred },
+    MergeJoin { pred },
+    Filter { preds },
+    Sort { keys },
+    Aggregate { group_by, aggs },
+});
 
 /// Operator kinds for one-hot featurization. `Null` is the padding child
 /// inserted by plan binarization (paper Figure 3).
@@ -268,28 +175,7 @@ pub struct PlanNode {
     pub est_cost: f64,
 }
 
-
-impl ToJson for PlanNode {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("op", self.op.to_json()),
-            ("children", self.children.to_json()),
-            ("est_rows", self.est_rows.to_json()),
-            ("est_cost", self.est_cost.to_json()),
-        ])
-    }
-}
-
-impl FromJson for PlanNode {
-    fn from_json(j: &Json) -> Result<PlanNode> {
-        Ok(PlanNode {
-            op: json::field(j, "op")?,
-            children: json::field(j, "children")?,
-            est_rows: json::field(j, "est_rows")?,
-            est_cost: json::field(j, "est_cost")?,
-        })
-    }
-}
+json_record!(PlanNode { op, children, est_rows, est_cost });
 
 impl PlanNode {
     pub fn new(op: Operator, children: Vec<PlanNode>) -> Self {
@@ -431,6 +317,7 @@ impl<'a> Iterator for PlanIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bao_common::json::{FromJson, Json, ToJson};
     use crate::logical::{CmpOp, Predicate};
     use bao_storage::Value;
 

@@ -3,7 +3,7 @@
 //! served work.
 
 use crate::sched::SchedConfig;
-use bao_common::{stats, Json, ToJson};
+use bao_common::{json_record, stats, Json, ToJson};
 
 /// Summary statistics over a sample of simulated milliseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,18 +34,7 @@ impl DistSummary {
     }
 }
 
-impl ToJson for DistSummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("n", self.n.to_json()),
-            ("mean", self.mean.to_json()),
-            ("p50", self.p50.to_json()),
-            ("p95", self.p95.to_json()),
-            ("p99", self.p99.to_json()),
-            ("max", self.max.to_json()),
-        ])
-    }
-}
+json_record!(DistSummary { n, mean, p50, p95, p99, max });
 
 /// One tenant's slice of a run.
 #[derive(Debug, Clone)]
@@ -69,22 +58,18 @@ pub struct TenantReport {
     pub served_work_ms: f64,
 }
 
-impl ToJson for TenantReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("weight", self.weight.to_json()),
-            ("priority", self.priority.to_json()),
-            ("admitted", self.admitted.to_json()),
-            ("served", self.served.to_json()),
-            ("shed", self.shed.to_json()),
-            ("drift_shed", self.drift_shed.to_json()),
-            ("peak_queue_depth", self.peak_queue_depth.to_json()),
-            ("wait_ms", self.wait_ms.to_json()),
-            ("served_work_ms", self.served_work_ms.to_json()),
-        ])
-    }
-}
+json_record!(ToJson for TenantReport {
+    name,
+    weight,
+    priority,
+    admitted,
+    served,
+    shed,
+    drift_shed,
+    peak_queue_depth,
+    wait_ms,
+    served_work_ms,
+});
 
 /// Whole-run scheduling report (ToJson for persistence alongside the
 /// serving report).
@@ -130,6 +115,7 @@ impl SchedReport {
     }
 }
 
+// Hand-written: also emits the computed totals and shed rate.
 impl ToJson for SchedReport {
     fn to_json(&self) -> Json {
         Json::obj([

@@ -1,7 +1,5 @@
 //! Scalar values and data types.
 
-use bao_common::json::{FromJson, Json, ToJson};
-use bao_common::{BaoError, Result};
 use std::fmt;
 
 /// Column data types supported by the engine.
@@ -45,30 +43,8 @@ pub enum Value {
     Str(String),
 }
 
-impl ToJson for Value {
-    fn to_json(&self) -> Json {
-        // Externally tagged, so Int(3) and Float(3.0) stay distinct.
-        match self {
-            Value::Int(v) => Json::obj([("Int", v.to_json())]),
-            Value::Float(v) => Json::obj([("Float", v.to_json())]),
-            Value::Str(s) => Json::obj([("Str", s.to_json())]),
-        }
-    }
-}
-
-impl FromJson for Value {
-    fn from_json(j: &Json) -> Result<Value> {
-        if let Some(v) = j.get("Int") {
-            Ok(Value::Int(i64::from_json(v)?))
-        } else if let Some(v) = j.get("Float") {
-            Ok(Value::Float(f64::from_json(v)?))
-        } else if let Some(v) = j.get("Str") {
-            Ok(Value::Str(String::from_json(v)?))
-        } else {
-            Err(BaoError::Parse(format!("expected a Value variant, got {j:?}")))
-        }
-    }
-}
+// Externally tagged, so Int(3) and Float(3.0) stay distinct.
+bao_common::json_enum!(Value { Int(i64), Float(f64), Str(String) });
 
 impl Value {
     pub fn data_type(&self) -> DataType {

@@ -64,6 +64,7 @@ impl WalRecord {
     }
 }
 
+// Hand-written: an internal `"kind"` tag whose values are not the variant names.
 impl ToJson for WalRecord {
     fn to_json(&self) -> Json {
         match self {
@@ -162,45 +163,21 @@ pub struct RecoveryReport {
     pub resumed_at_step: u64,
 }
 
-impl ToJson for RecoveryReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("segments_scanned", self.segments_scanned.to_json()),
-            ("frames_valid", self.frames_valid.to_json()),
-            ("bytes_valid", self.bytes_valid.to_json()),
-            ("bytes_truncated", self.bytes_truncated.to_json()),
-            ("torn_tail", self.torn_tail.to_json()),
-            ("corrupt_tail", self.corrupt_tail.to_json()),
-            ("frames_rolled_back", self.frames_rolled_back.to_json()),
-            ("experience_appends", self.experience_appends.to_json()),
-            ("retrain_boundaries", self.retrain_boundaries.to_json()),
-            ("model_checkpoints", self.model_checkpoints.to_json()),
-            ("cache_invalidations", self.cache_invalidations.to_json()),
-            ("query_outcomes", self.query_outcomes.to_json()),
-            ("resumed_at_step", self.resumed_at_step.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RecoveryReport {
-    fn from_json(j: &Json) -> Result<RecoveryReport> {
-        Ok(RecoveryReport {
-            segments_scanned: json::field(j, "segments_scanned")?,
-            frames_valid: json::field(j, "frames_valid")?,
-            bytes_valid: json::field(j, "bytes_valid")?,
-            bytes_truncated: json::field(j, "bytes_truncated")?,
-            torn_tail: json::field(j, "torn_tail")?,
-            corrupt_tail: json::field(j, "corrupt_tail")?,
-            frames_rolled_back: json::field(j, "frames_rolled_back")?,
-            experience_appends: json::field(j, "experience_appends")?,
-            retrain_boundaries: json::field(j, "retrain_boundaries")?,
-            model_checkpoints: json::field(j, "model_checkpoints")?,
-            cache_invalidations: json::field(j, "cache_invalidations")?,
-            query_outcomes: json::field(j, "query_outcomes")?,
-            resumed_at_step: json::field(j, "resumed_at_step")?,
-        })
-    }
-}
+bao_common::json_record!(RecoveryReport {
+    segments_scanned,
+    frames_valid,
+    bytes_valid,
+    bytes_truncated,
+    torn_tail,
+    corrupt_tail,
+    frames_rolled_back,
+    experience_appends,
+    retrain_boundaries,
+    model_checkpoints,
+    cache_invalidations,
+    query_outcomes,
+    resumed_at_step,
+});
 
 #[cfg(test)]
 mod tests {

@@ -11,8 +11,8 @@ pub mod corp;
 pub mod imdb;
 pub mod stack;
 
-use bao_common::json::{self, FromJson, Json, ToJson};
-use bao_common::{BaoError, Result};
+use bao_common::json::{self, Json, ToJson};
+use bao_common::{json_enum, json_record, BaoError, Result};
 use bao_plan::Query;
 use bao_storage::Database;
 
@@ -29,29 +29,7 @@ pub enum Event {
     CorpNormalization,
 }
 
-impl ToJson for Event {
-    fn to_json(&self) -> Json {
-        match self {
-            Event::LoadStackMonth { month } => Json::obj([(
-                "LoadStackMonth",
-                Json::obj([("month", month.to_json())]),
-            )]),
-            Event::CorpNormalization => Json::Str("CorpNormalization".to_string()),
-        }
-    }
-}
-
-impl FromJson for Event {
-    fn from_json(j: &Json) -> Result<Event> {
-        if j.as_str() == Some("CorpNormalization") {
-            return Ok(Event::CorpNormalization);
-        }
-        if let Some(v) = j.get("LoadStackMonth") {
-            return Ok(Event::LoadStackMonth { month: json::field(v, "month")? });
-        }
-        Err(BaoError::Parse(format!("unknown Event {j:?}")))
-    }
-}
+json_enum!(Event { LoadStackMonth { month }, CorpNormalization });
 
 /// One step of a workload: an optional environment event, then a query.
 #[derive(Debug, Clone)]
@@ -63,25 +41,7 @@ pub struct WorkloadStep {
     pub event: Option<Event>,
 }
 
-impl ToJson for WorkloadStep {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("label", self.label.to_json()),
-            ("query", self.query.to_json()),
-            ("event", self.event.to_json()),
-        ])
-    }
-}
-
-impl FromJson for WorkloadStep {
-    fn from_json(j: &Json) -> Result<WorkloadStep> {
-        Ok(WorkloadStep {
-            label: json::field(j, "label")?,
-            query: json::field(j, "query")?,
-            event: json::field(j, "event")?,
-        })
-    }
-}
+json_record!(WorkloadStep { label, query, event });
 
 /// An ordered query stream over a database.
 #[derive(Debug, Clone)]
